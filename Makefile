@@ -41,12 +41,12 @@ race:
 # every Benchmark output line, so the file is grep- and jq-friendly.
 # Benchmarks run as two processes appended to one file: component
 # benches first, then the sweep-scale benches. The sweep benches retain
-# megabytes of compiled designs, plans, and memo state for their whole
+# the shared harness's outcome caches and cell memo for their whole
 # process lifetime, and the GC mark cost of that retained graph would
 # otherwise tax every allocating component bench sharing the process.
 # A new Benchmark must be added to exactly one of these two lists.
 MICROBENCH := ^(BenchmarkCorpusPipeline|BenchmarkMinHashSig64|BenchmarkMinHashSig256|BenchmarkVnumAdd64|BenchmarkVnumAdd512|BenchmarkVnumMul64|BenchmarkNgramOrder2|BenchmarkNgramOrder5|BenchmarkEncode|BenchmarkEncodeInto|BenchmarkFrozenSample|BenchmarkMapSample|BenchmarkBPETrainVocab512|BenchmarkParseReference|BenchmarkCompileCheck|BenchmarkSchedulerRegions|BenchmarkCompiledEval|BenchmarkInterpretedEval|BenchmarkShardMerge|BenchmarkStoreLookup)$$
-MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkEvaluateColdCompile|BenchmarkEvaluateWarmCompile|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
+MACROBENCH := ^(BenchmarkTableI|BenchmarkTableII|BenchmarkTableIII|BenchmarkTableIV|BenchmarkFigure6|BenchmarkFigure7|BenchmarkHeadline|BenchmarkAblation|BenchmarkFailureGallery|BenchmarkFullPipelineEvaluation|BenchmarkTableIIISerial|BenchmarkTableIIIParallel|BenchmarkEvaluateBatchSerial|BenchmarkEvaluateBatch|BenchmarkSweepThroughput)$$
 
 # GOGC is pinned for recordings: the bounded caches keep the suite's
 # live heap deliberately small, so default pacing would make ns/op track
@@ -58,9 +58,10 @@ bench:
 	@grep -o '"Output":"Benchmark[^"]*' $(BENCHFILE) | sed 's/"Output":"//;s/\\n//' || true
 	@echo "wrote $(BENCHFILE)"
 
-# bench-compare diffs the two most recent bench files with benchstat-style
-# aggregation and fails on >10% ns/op regressions in the pinned hot-path
-# benches (see cmd/vgen-benchcmp).
+# bench-compare diffs the two newest bench files (ordered by the date and
+# .N suffix in their names) with benchstat-style aggregation and fails on
+# >10% ns/op regressions in the pinned hot-path benches (see
+# cmd/vgen-benchcmp).
 bench-compare:
 	$(GO) run ./cmd/vgen-benchcmp
 

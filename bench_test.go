@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -374,40 +373,6 @@ func BenchmarkFullPipelineEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateColdCompile times a candidate the shared design cache
-// has never seen: parse, compile-check, skeleton splice, plan
-// compilation, simulator construction, and the run itself — the
-// first-sample cost of a sweep cell (DESIGN.md Section 15). A unique
-// comment line keeps every iteration's source distinct.
-func BenchmarkEvaluateColdCompile(b *testing.B) {
-	p := problems.ByNumber(15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := eval.Evaluate(p, problems.LevelHigh, fmt.Sprintf("  // cold %d\n", i)+p.RefBody)
-		if !o.Passes {
-			b.Fatal("reference failed")
-		}
-	}
-}
-
-// BenchmarkEvaluateWarmCompile times the steady state the shared tiers
-// buy: the same candidate re-evaluated with the spliced design, compiled
-// plans, and a pooled simulator all resident, leaving simulation itself
-// as the whole per-call cost. The cold/warm delta is the amortized
-// compile work.
-func BenchmarkEvaluateWarmCompile(b *testing.B) {
-	p := problems.ByNumber(15)
-	if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
-		b.Fatal("reference failed")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !eval.Evaluate(p, problems.LevelHigh, p.RefBody).Passes {
-			b.Fatal("reference failed")
-		}
-	}
-}
-
 // ---- compiled expression plan ablation (DESIGN.md Section 7) ---------------
 
 // benchSimEngine times the same clocked test-bench simulation as
@@ -444,20 +409,6 @@ func BenchmarkInterpretedEval(b *testing.B) { benchSimEngine(b, true) }
 
 // ---- parallel evaluation engine benches (DESIGN.md Section 6) --------------
 
-// resetSharedState drops the process-wide shared compile tiers (design
-// cache, plan cache, pooled simulators) and runs the collector twice, so
-// a sweep-scale bench measures its own workload instead of paying GC
-// mark cost for state earlier benches retained in the same process. A
-// one-byte budget evicts everything the never-newest policy can release
-// and rebuilds the plan cache empty; zero restores the defaults.
-func resetSharedState(b *testing.B) {
-	b.Helper()
-	eval.SetPlanCacheBytes(1)
-	eval.SetPlanCacheBytes(0)
-	runtime.GC()
-	runtime.GC()
-}
-
 // benchTableIIICold regenerates Table III on a fresh Runner per iteration —
 // a cold outcome cache, so every sample pays the real compile+simulate
 // cost — at the given worker-pool width. The family (corpus, tokenizer,
@@ -465,7 +416,6 @@ func resetSharedState(b *testing.B) {
 // throughput is the bottleneck.
 func benchTableIIICold(b *testing.B, workers int) {
 	h := benchHarness()
-	resetSharedState(b)
 	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {
@@ -495,7 +445,6 @@ func benchEvaluateBatch(b *testing.B, workers int) {
 			})
 		}
 	}
-	resetSharedState(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := eval.NewRunner(h.Runner.Backend, 123)
@@ -526,19 +475,6 @@ func sweepQueries() []eval.Query {
 	return qs
 }
 
-// pinSharedBudget shrinks the shared compile tiers to one resident
-// entry for the bench's duration and restores the defaults on cleanup.
-// Warm-outcome-cache rows measure backend or transport cost — the
-// compile caches never serve them past the first iteration, so resident
-// compiled artifacts would only add GC mark noise to the row.
-func pinSharedBudget(b *testing.B) {
-	b.Helper()
-	eval.SetPlanCacheBytes(1)
-	b.Cleanup(func() { eval.SetPlanCacheBytes(0) })
-	runtime.GC()
-	runtime.GC()
-}
-
 // benchSweepBackend times one full sweep of sweepQueries through the
 // shared runner (warm outcome cache after the first iteration, like a
 // long-lived server): what remains is per-backend completion cost plus
@@ -547,7 +483,6 @@ func pinSharedBudget(b *testing.B) {
 // whole-cell memo is disabled so repeat iterations keep exercising the
 // backend instead of collapsing into memo lookups.
 func benchSweepBackend(b *testing.B, backend gen.Backend) {
-	pinSharedBudget(b)
 	r := eval.NewRunner(backend, 123)
 	r.Workers = 8
 	r.CellMemoCap = -1
@@ -560,23 +495,14 @@ func benchSweepBackend(b *testing.B, backend gen.Backend) {
 	}
 }
 
-// benchSweepPlans is the plan-sharing ablation: the family sweep on a
-// cold outcome cache per iteration, with the process-wide design/plan
-// tiers either engaged (the default) or bypassed (UnsharedPlans, the
-// differential baseline). A warm-up sweep first fills the shared tiers so
-// plans=shared measures the steady state, not first-touch compilation.
-func benchSweepPlans(b *testing.B, backend gen.Backend, unshared bool) {
-	resetSharedState(b)
+// benchSweepCold times one full sweep of sweepQueries on a fresh Runner
+// per iteration: a cold outcome cache, so every distinct candidate pays
+// the whole verdict pipeline (parse, compile-check, elaborate, simulate).
+func benchSweepCold(b *testing.B, backend gen.Backend) {
 	qs := sweepQueries()
-	warm := eval.NewRunner(backend, 123)
-	warm.Workers = 8
-	warm.UnsharedPlans = unshared
-	warm.EvaluateBatch(qs)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := eval.NewRunner(backend, 123)
 		r.Workers = 8
-		r.UnsharedPlans = unshared
 		if len(r.EvaluateBatch(qs)) != len(qs) {
 			b.Fatal("batch result length mismatch")
 		}
@@ -586,10 +512,7 @@ func benchSweepPlans(b *testing.B, backend gen.Backend, unshared bool) {
 func BenchmarkSweepThroughput(b *testing.B) {
 	fam := benchHarness().Runner.Backend
 	b.Run("backend=family", func(b *testing.B) { benchSweepBackend(b, fam) })
-	// plan-sharing rows (DESIGN.md Section 15): byte-identical sweeps,
-	// fresh-compile-per-sample vs shared compiled artifacts.
-	b.Run("plans=fresh", func(b *testing.B) { benchSweepPlans(b, fam, true) })
-	b.Run("plans=shared", func(b *testing.B) { benchSweepPlans(b, fam, false) })
+	b.Run("sweep=cold", func(b *testing.B) { benchSweepCold(b, fam) })
 	b.Run("backend=mutant", func(b *testing.B) { benchSweepBackend(b, gen.NewMutant()) })
 	b.Run("backend=replay", func(b *testing.B) {
 		// record the family sweep in memory, then serve it back frozen
@@ -609,7 +532,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	// backend call. The cold/warm ratio is the cache's whole point, so
 	// both rows are pinned in bench-compare.
 	b.Run("store=cold", func(b *testing.B) {
-		resetSharedState(b)
 		qs := sweepQueries()
 		id := store.Identity{Backend: fam.Describe(), Seed: 123}
 		for i := 0; i < b.N; i++ {
@@ -635,7 +557,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 		}
 	})
 	b.Run("store=warm", func(b *testing.B) {
-		resetSharedState(b)
 		qs := sweepQueries()
 		id := store.Identity{Backend: fam.Describe(), Seed: 123}
 		dir := b.TempDir()
@@ -676,7 +597,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
 		batch := batch
 		b.Run(fmt.Sprintf("backend=remote/batch=%d", batch), func(b *testing.B) {
-			pinSharedBudget(b)
 			srv := remote.NewServer(remote.NewHandler(fam, remote.ServerOptions{}))
 			url, err := srv.Start(context.Background(), "127.0.0.1:0")
 			if err != nil {

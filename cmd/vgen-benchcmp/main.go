@@ -8,8 +8,10 @@
 //
 //	vgen-benchcmp [old.json new.json]
 //
-// With no arguments it picks the two most recently modified BENCH_*.json
-// files in the working directory (older = baseline).
+// With no arguments it picks the two newest BENCH_<date>[.N].json files in
+// the working directory (older = baseline), ordered by the date and the
+// same-day suffix in the file name: modification times are meaningless
+// after a checkout, which gives every file the same mtime.
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // hotPathBenches are the pinned generation/evaluation hot paths: a >10%
@@ -54,13 +55,9 @@ var hotPathBenches = []string{
 	"BenchmarkSweepThroughput/store=cold",
 	"BenchmarkSweepThroughput/store=warm",
 	"BenchmarkStoreLookup",
-	// shared compiled-artifact rows (DESIGN.md Section 15): the cold and
-	// warm per-sample compile paths and the plan-sharing sweep ablation —
-	// the warm rows are the speedup the shared tiers exist for
-	"BenchmarkEvaluateColdCompile",
-	"BenchmarkEvaluateWarmCompile",
-	"BenchmarkSweepThroughput/plans=fresh",
-	"BenchmarkSweepThroughput/plans=shared",
+	// the family sweep on a cold outcome cache: every distinct candidate
+	// pays the whole verdict pipeline
+	"BenchmarkSweepThroughput/sweep=cold",
 }
 
 const regressionLimit = 0.10
@@ -168,26 +165,45 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-func latestTwo() (string, string, error) {
-	names, err := filepath.Glob("BENCH_*.json")
+// benchFileRe matches the names `make bench` writes: BENCH_<yyyymmdd>.json
+// for a day's first recording, BENCH_<yyyymmdd>.<N>.json (N >= 2) after.
+var benchFileRe = regexp.MustCompile(`^BENCH_(\d{8})(?:\.(\d+))?\.json$`)
+
+// latestTwo returns the two newest bench files in dir by the date and
+// suffix in their names, older first. Names that do not follow the
+// pattern are ignored.
+func latestTwo(dir string) (string, string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return "", "", err
 	}
 	type benchFile struct {
-		name string
-		mod  time.Time
+		path string
+		date string
+		n    int
 	}
 	var files []benchFile
-	for _, name := range names {
-		if fi, err := os.Stat(name); err == nil {
-			files = append(files, benchFile{name: name, mod: fi.ModTime()})
+	for _, path := range paths {
+		m := benchFileRe.FindStringSubmatch(filepath.Base(path))
+		if m == nil {
+			continue
 		}
+		n := 1 // a day's first recording has no suffix
+		if m[2] != "" {
+			n, _ = strconv.Atoi(m[2]) // digits only, by the pattern
+		}
+		files = append(files, benchFile{path: path, date: m[1], n: n})
 	}
 	if len(files) < 2 {
 		return "", "", fmt.Errorf("need two BENCH_*.json files to compare, found %d", len(files))
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	return files[len(files)-2].name, files[len(files)-1].name, nil
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].date != files[j].date {
+			return files[i].date < files[j].date
+		}
+		return files[i].n < files[j].n
+	})
+	return files[len(files)-2].path, files[len(files)-1].path, nil
 }
 
 func pct(old, new float64) string {
@@ -202,7 +218,7 @@ func main() {
 	switch len(os.Args) {
 	case 1:
 		var err error
-		oldPath, newPath, err = latestTwo()
+		oldPath, newPath, err = latestTwo(".")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

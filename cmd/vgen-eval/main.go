@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	vgen-eval [-seed N] [-n N] [-quick] [-workers N] [-map-sampler]
-//	          [-plan-cache BYTES] [-unshared-plans] [-cache-stats]
+//	vgen-eval [-seed N] [-n N] [-quick] [-workers N] [-cache-stats]
 //	          [-backend NAME] [-record FILE] [-replay FILE]
 //	          [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
 //	          [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
@@ -60,14 +59,9 @@
 // cells their absence left uncovered. Supervised end-to-end runs —
 // retry, work-stealing, resume — live in the vgen-coord command.
 //
-// Evaluation shares compiled artifacts process-wide (DESIGN.md Section
-// 15): testbenches elaborate once per (problem, level), candidate designs
-// and compiled expression plans are cached content-addressed, and
-// simulator state is pooled — identical output, far less compile work.
-// -plan-cache bounds each shared cache in accounted bytes (default 4 MiB
-// each, negative = unbounded); -unshared-plans compiles every sample
-// fresh, the differential baseline; -cache-stats prints the shared-cache
-// and outcome-cache counters to stderr after the run.
+// Verdicts are cached per runner and nothing compiled is shared across
+// candidates (DESIGN.md Section 15). -cache-stats prints the outcome-cache
+// and cell-memo counters to stderr after the run.
 //
 // -store DIR attaches the persistent result store (DESIGN.md Section 14):
 // evaluated cells persist under the sweep identity (backend tag + seed),
@@ -117,10 +111,7 @@ func main() {
 	experiment := flag.String("experiment", "all", "which artifact to regenerate")
 	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
 	workers := flag.Int("workers", 0, "evaluation worker pool width (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	mapSampler := flag.Bool("map-sampler", false, "sample from the map-backed n-gram baseline instead of the frozen tables (identical output, slower)")
-	planCache := flag.Int64("plan-cache", 0, "shared compiled plan/design cache budget in accounted bytes, each (0 = 4 MiB, negative = unbounded)")
-	unsharedPlans := flag.Bool("unshared-plans", false, "compile every sample fresh instead of sharing plans and designs across evaluations (identical output, slower)")
-	cacheStats := flag.Bool("cache-stats", false, "print shared plan/design cache and outcome cache counters to stderr after the run")
+	cacheStats := flag.Bool("cache-stats", false, "print outcome-cache and cell-memo counters to stderr after the run")
 	backend := flag.String("backend", "family", "generation backend by name ('list' prints the registry)")
 	record := flag.String("record", "", "capture every produced sample to this JSONL file")
 	replay := flag.String("replay", "", "JSONL recording served by the replay backend (implies -backend replay)")
@@ -351,8 +342,7 @@ func main() {
 
 	fw, err := core.New(core.Config{
 		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep,
-		Workers: *workers, MapSampler: *mapSampler,
-		PlanCacheBytes: *planCache, UnsharedPlans: *unsharedPlans,
+		Workers: *workers,
 		Backend: *backend, Record: *record, Replay: *replay,
 		Remote: gen.RemoteOptions{
 			Endpoint: *endpoint, AuthToken: authToken,
@@ -448,23 +438,16 @@ func main() {
 	}
 }
 
-// knownExperiment reports whether the harness has a renderer by name.
-// printCacheStats reports the shared compiled-artifact caches (DESIGN.md
-// Section 15) next to the per-runner outcome cache, all to stderr: a warm
-// sweep shows plan/design hits dominating misses, a -plan-cache squeeze
-// shows evictions.
+// printCacheStats reports the runner's outcome cache and cell memo to
+// stderr.
 func printCacheStats(r *eval.Runner) {
-	ss := eval.SharedStats()
-	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evicted, %d entries, %d bytes\n",
-		ss.Plans.Hits, ss.Plans.Misses, ss.Plans.Evictions, ss.Plans.Entries, ss.Plans.Bytes)
-	fmt.Fprintf(os.Stderr, "design cache: %d hits, %d misses, %d evicted, %d designs (%d skeletons), %d bytes\n",
-		ss.DesignHits, ss.DesignMisses, ss.DesignEvicted, ss.Designs, ss.Skeletons, ss.DesignBytes)
 	oc := r.CacheStats()
 	fmt.Fprintf(os.Stderr, "outcome cache: %d entries, %d bytes, %d evicted\n",
 		oc.Entries, oc.Bytes, oc.Evicted)
 	fmt.Fprintf(os.Stderr, "cell memo: %d cells, %d hits\n", oc.Cells, oc.CellHits)
 }
 
+// knownExperiment reports whether the harness has a renderer by name.
 func knownExperiment(name string) bool {
 	for _, r := range harness.Renderers() {
 		if r.Name == name {

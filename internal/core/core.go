@@ -32,21 +32,7 @@ type Config struct {
 	CorpusFiles int              // synthetic GitHub corpus size; 0 = default
 	Corpus      model.CorpusKind // fine-tuning corpus (ablation handle)
 	Sweep       eval.SweepOptions
-	Workers     int  // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
-	MapSampler  bool // keep n-gram LMs on the map-backed baseline sampler
-
-	// PlanCacheBytes bounds each shared compiled-artifact cache (the
-	// compiled-plan cache and the per-candidate design cache) by accounted
-	// bytes. 0 keeps the 4 MiB defaults; negative disables the bounds.
-	// Process-wide: the caches are shared across frameworks.
-	PlanCacheBytes int64
-
-	// UnsharedPlans routes every evaluation through the legacy
-	// fresh-everything pipeline (parse, elaborate, and compile per sample,
-	// nothing shared) instead of the shared design/plan caches. It is the
-	// differential baseline for the shared pipeline, the role MapSampler
-	// plays for the sampler.
-	UnsharedPlans bool
+	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
 
 	// Backend selects the generation backend by registered name (see
 	// gen.Names()); "" means "family", the simulated line-up.
@@ -131,7 +117,6 @@ func New(cfg Config) (*Framework, error) {
 			Seed:        cfg.Seed,
 			CorpusFiles: cfg.CorpusFiles,
 			Corpus:      cfg.Corpus,
-			MapSampler:  cfg.MapSampler,
 		},
 		ReplayPath: cfg.Replay,
 		Remote:     remote,
@@ -155,12 +140,8 @@ func New(cfg Config) (*Framework, error) {
 		fw.rec = gen.NewRecorder(b, fw.recBuf)
 		fw.Backend = fw.rec
 	}
-	if cfg.PlanCacheBytes != 0 {
-		eval.SetPlanCacheBytes(cfg.PlanCacheBytes)
-	}
 	runner := eval.NewRunner(fw.Backend, cfg.Seed)
 	runner.Workers = cfg.Workers
-	runner.UnsharedPlans = cfg.UnsharedPlans
 	runner.BatchSize = cfg.BatchSize
 	runner.BatchLinger = cfg.BatchLinger
 	fw.Runner = runner

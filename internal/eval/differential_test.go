@@ -4,9 +4,57 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/problems"
 	"repro/internal/sim"
 )
+
+// sampledCompletions samples a realistic completion mix for the
+// differential suite: the reference body plus model completions at four
+// temperatures (passing, near-miss, and garbage candidates all occur).
+func sampledCompletions(g *model.Generator, p *problems.Problem, level problems.Level) []string {
+	out := []string{p.RefBody}
+	for _, temp := range []float64{0.1, 0.3, 0.5, 0.8} {
+		for _, s := range g.CompleteN(p, level, temp, 2, 1234) {
+			out = append(out, s.Completion)
+		}
+	}
+	return out
+}
+
+// TestEvaluateMatchesInterpreter is the verdict pipeline's engine
+// contract over realistic candidates: for every problem, level, and a mix
+// of sampled completions, the compiled-plan simulator and the AST
+// interpreter must agree on the verdict and on the raw simulation result
+// (output, final time, step count, and whether $finish ran), bit for bit.
+func TestEvaluateMatchesInterpreter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full problems x levels x temps differential sweep")
+	}
+	f := model.NewFamily(model.Config{Seed: 41, CorpusFiles: 60, VocabSize: 300})
+	g, ok := f.Generator(model.CodeGen2B, model.FineTuned)
+	if !ok {
+		t.Fatal("no generator")
+	}
+	for _, p := range problems.All() {
+		for _, l := range problems.Levels {
+			for ci, c := range sampledCompletions(g, p, l) {
+				oc, rc := evaluateSim(p, l, c, sim.Options{})
+				oi, ri := evaluateSim(p, l, c, sim.Options{Interpret: true})
+				label := fmt.Sprintf("problem %d/%s completion %d", p.Number, l, ci)
+				if oc != oi {
+					t.Errorf("%s: verdicts diverged: compiled %+v, interpreted %+v", label, oc, oi)
+				}
+				if rc.Output != ri.Output {
+					t.Errorf("%s: outputs diverged:\ncompiled:    %q\ninterpreted: %q", label, rc.Output, ri.Output)
+				}
+				if rc.Time != ri.Time || rc.Steps != ri.Steps || rc.Finished != ri.Finished {
+					t.Errorf("%s: result metadata diverged: compiled %+v, interpreted %+v", label, rc, ri)
+				}
+			}
+		}
+	}
+}
 
 // TestCompiledPlansMatchInterpreter is the verdict-equivalence contract of
 // the compiled expression plans: for every problem and prompt level, the

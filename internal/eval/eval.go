@@ -143,31 +143,46 @@ func testbenchAST(p *problems.Problem) (*vlog.SourceFile, error) {
 	return e.file, e.err
 }
 
-// Evaluate runs the full pipeline on one completion for (problem, level)
-// through the shared compiled-design tiers (see design.go): the testbench
-// skeleton is elaborated once per problem, the candidate is spliced and
-// compiled once per distinct source, expression plans are shared across
-// simulators, and per-run simulator state is pooled. The verdict and
-// simulation output are byte-identical to EvaluateUnshared — the caches
-// hold only pure functions of the source text.
+// Evaluate runs the full pipeline on one completion for (problem, level):
+// truncate, splice into the prompt, parse, compile-check standalone,
+// elaborate against the problem's testbench, and simulate. Nothing is
+// cached across candidates but the parsed testbench; a Runner caches the
+// verdicts themselves.
 func Evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
-	o, _ := evaluateShared(p, level, completion)
-	return o
-}
-
-// EvaluateUnshared runs the same pipeline with nothing shared: fresh
-// parse, full elaboration, and a fresh simulator per call. It is the
-// differential baseline for the shared tiers, the role Options.Interpret
-// plays one layer down in sim.
-func EvaluateUnshared(p *problems.Problem, level problems.Level, completion string) Outcome {
 	o, _ := evaluateSim(p, level, completion, sim.Options{})
 	return o
 }
 
-// evaluateSim is EvaluateUnshared with the simulator options exposed and
-// the raw simulation result returned: the interpreter-vs-compiled-plan
+// EvaluateUnshared is Evaluate.
+//
+// Deprecated: kept only because the benchmark module (vbench) still calls
+// it; use Evaluate.
+func EvaluateUnshared(p *problems.Problem, level problems.Level, completion string) Outcome {
+	return Evaluate(p, level, completion)
+}
+
+// SharedCacheStats is the counter set of the removed process-wide compile
+// caches; every field reads zero.
+//
+// Deprecated: kept only because the benchmark module (vbench) still reads
+// it.
+type SharedCacheStats struct {
+	DesignHits    uint64
+	DesignMisses  uint64
+	DesignEvicted uint64
+	Plans         struct{ Hits, Misses, Evictions uint64 }
+}
+
+// SharedStats returns a zero SharedCacheStats.
+//
+// Deprecated: kept only because the benchmark module (vbench) still calls
+// it.
+func SharedStats() SharedCacheStats { return SharedCacheStats{} }
+
+// evaluateSim is Evaluate with the simulator options exposed and the raw
+// simulation result returned: the interpreter-vs-compiled-plan
 // differential test runs the pipeline under both engines and compares
-// Result.Output byte for byte.
+// the results field by field.
 //
 // Return normalization: paths that never construct a simulator return a
 // zero sim.Result with Outcome.Simulated false; once sim.Run is entered,
@@ -206,12 +221,9 @@ func evaluateSim(p *problems.Problem, level problems.Level, completion string, s
 // rarely collide on one lock, cheap enough to sit in every Runner.
 const numShards = 64
 
+// cacheKey addresses one verdict, which depends only on these three
+// fields; the backend that produced the completion plays no part.
 type cacheKey struct {
-	// backend is the Runner's Backend.Describe() tag. Within one Runner it
-	// is constant — the tag is forward-looking, keeping entries unambiguous
-	// if the shards ever outlive a single Runner (shared outcome caches are
-	// where the ROADMAP's sharded-runner work lands).
-	backend    string
 	problem    int
 	level      problems.Level
 	completion string
@@ -255,8 +267,7 @@ func fnvUint(h, u uint64) uint64 {
 }
 
 func (k *cacheKey) shard() uint64 {
-	h := fnvString(fnvOffset, k.backend)
-	h = fnvUint(h, uint64(k.problem))
+	h := fnvUint(fnvOffset, uint64(k.problem))
 	h = fnvUint(h, uint64(k.level))
 	h = fnvString(h, k.completion)
 	return h % numShards
@@ -303,15 +314,7 @@ type Runner struct {
 	// are pure functions of their coordinates.
 	CellMemoCap int
 
-	// UnsharedPlans evaluates through EvaluateUnshared — fresh parse,
-	// full elaboration, and an unpooled simulator per sample — instead of
-	// the shared compiled-design tiers. Output is byte-identical either
-	// way; the unshared path exists as the differential baseline, the
-	// role sim.Options.Interpret and model.Config.MapSampler play in
-	// their layers.
-	UnsharedPlans bool
-
-	tag    string // Backend.Describe(), captured once for cache keys
+	tag    string // Backend.Describe(), captured once for error messages
 	shards [numShards]cacheShard
 
 	// cellMemo caches whole computed cells keyed by Query. A cell is a
@@ -384,7 +387,7 @@ func (r *Runner) cellMemoCap() int {
 const outcomeEntryOverhead = 256
 
 func entryCost(k cacheKey) int64 {
-	return int64(len(k.backend)) + int64(len(k.completion)) + outcomeEntryOverhead
+	return int64(len(k.completion)) + outcomeEntryOverhead
 }
 
 // shardCacheBudget is the per-shard share of the cache bound, or 0 for
@@ -405,7 +408,7 @@ func (r *Runner) shardCacheBudget() int64 {
 }
 
 func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion string) Outcome {
-	key := cacheKey{backend: r.tag, problem: p.Number, level: level, completion: completion}
+	key := cacheKey{problem: p.Number, level: level, completion: completion}
 	sh := &r.shards[key.shard()]
 	sh.mu.Lock()
 	s, ok := sh.m[key]
@@ -428,13 +431,7 @@ func (r *Runner) evaluate(p *problems.Problem, level problems.Level, completion 
 		}
 	}
 	sh.mu.Unlock()
-	s.once.Do(func() {
-		if r.UnsharedPlans {
-			s.o = EvaluateUnshared(p, level, completion)
-		} else {
-			s.o = Evaluate(p, level, completion)
-		}
-	})
+	s.once.Do(func() { s.o = Evaluate(p, level, completion) })
 	return s.o
 }
 

@@ -192,54 +192,46 @@ func TestEvaluateBatchCtxSerialPreCanceled(t *testing.T) {
 	}
 }
 
-// TestSingleParsePerEvaluation pins the parse economics of the shared
-// pipeline: a candidate source unseen by the process-wide design cache
-// parses exactly one text (the candidate — the testbench AST is cached
-// separately), and a repeat of a cached candidate parses nothing at all.
-// EvaluateUnshared keeps the legacy one-parse-per-call contract.
+// TestSingleParsePerEvaluation pins the parse economics of the verdict
+// pipeline: an uncached Evaluate parses exactly one text (the candidate —
+// the testbench AST is cached separately), and a completion repeated on
+// one Runner parses nothing, because the outcome cache returns its
+// verdict.
 func TestSingleParsePerEvaluation(t *testing.T) {
 	p := problems.ByNumber(6)
-	Evaluate(p, problems.LevelLow, p.RefBody)  // warm the design caches
-	if _, err := testbenchAST(p); err != nil { // re-warm the testbench AST (bounded cache; earlier tests churn it)
+	if _, err := testbenchAST(p); err != nil { // warm the testbench AST (bounded cache; earlier tests churn it)
 		t.Fatal(err)
 	}
+	cases := []struct {
+		name    string
+		level   problems.Level
+		body    string
+		compile bool
+		pass    bool
+	}{
+		{"reference", problems.LevelLow, p.RefBody, true, true},
+		{"near-miss", problems.LevelMedium, "  always @(posedge clk) q <= q; // single-parse near-miss\nendmodule\n", true, false},
+		{"broken", problems.LevelLow, "  single-parse garbage tokens\n", false, false},
+	}
+	for _, c := range cases {
+		before := vlog.ParseCalls()
+		o := Evaluate(p, c.level, c.body)
+		if n := vlog.ParseCalls() - before; n != 1 {
+			t.Errorf("%s: evaluation parsed %d texts, want 1", c.name, n)
+		}
+		if o.Compiles != c.compile || o.Passes != c.pass {
+			t.Fatalf("%s: outcome = %+v", c.name, o)
+		}
+	}
+
+	r := NewRunner(&memoTestBackend{}, 1)
+	want := r.evaluate(p, problems.LevelLow, p.RefBody)
 	before := vlog.ParseCalls()
-	o := Evaluate(p, problems.LevelLow, p.RefBody)
+	if o := r.evaluate(p, problems.LevelLow, p.RefBody); o != want {
+		t.Errorf("repeat outcome %+v, want %+v", o, want)
+	}
 	if n := vlog.ParseCalls() - before; n != 0 {
-		t.Errorf("repeat evaluation parsed %d texts, want 0 (design-cache hit)", n)
-	}
-	if !o.Compiles || !o.Passes {
-		t.Fatalf("reference outcome = %+v", o)
-	}
-
-	// unseen compiles-but-fails candidate: exactly one parse
-	before = vlog.ParseCalls()
-	o = Evaluate(p, problems.LevelMedium, "  always @(posedge clk) q <= q; // single-parse near-miss\nendmodule\n")
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("near-miss evaluation parsed %d texts, want 1", n)
-	}
-	if !o.Compiles || o.Passes {
-		t.Fatalf("near-miss outcome = %+v", o)
-	}
-
-	// unseen non-compiling candidate: one parse, then reject
-	before = vlog.ParseCalls()
-	o = Evaluate(p, problems.LevelLow, "  single-parse garbage tokens\n")
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("broken evaluation parsed %d texts, want 1", n)
-	}
-	if o.Compiles {
-		t.Fatalf("broken outcome = %+v", o)
-	}
-
-	// the unshared baseline parses the candidate on every call
-	before = vlog.ParseCalls()
-	o = EvaluateUnshared(p, problems.LevelLow, p.RefBody)
-	if n := vlog.ParseCalls() - before; n != 1 {
-		t.Errorf("unshared evaluation parsed %d texts, want 1", n)
-	}
-	if !o.Compiles || !o.Passes {
-		t.Fatalf("unshared reference outcome = %+v", o)
+		t.Errorf("repeat completion on one runner parsed %d texts, want 0 (outcome-cache hit)", n)
 	}
 }
 

@@ -53,21 +53,13 @@ type boundsRes struct {
 }
 
 // planFor returns the compiled plan for evaluating e with assignment
-// context ctx, building and caching it on first use. With a shared
-// PlanCache, the immutable compile step is fetched from (or published to)
-// the cache and only the binding to this simulator's state runs locally.
+// context ctx, building and caching it on first use.
 func (s *Simulator) planFor(e vlog.Expr, in *elab.Inst, ctx int) compiledExpr {
 	k := planKey{e: e, in: in, w: ctx, mode: planCtx}
 	if c, ok := s.plans[k]; ok {
 		return c
 	}
-	var p *elab.Plan
-	if s.opts.Plans != nil {
-		p = s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExpr(e, in, ctx) })
-	} else {
-		p = elab.CompileExpr(e, in, ctx)
-	}
-	c := s.bind(p)
+	c := s.bind(elab.CompileExpr(e, in, ctx))
 	s.plans[k] = c
 	return c
 }
@@ -83,13 +75,7 @@ func (s *Simulator) planSized(e vlog.Expr, in *elab.Inst, w int, sg bool) compil
 	if c, ok := s.plans[k]; ok {
 		return c
 	}
-	var p *elab.Plan
-	if s.opts.Plans != nil {
-		p = s.opts.Plans.plan(k, func() *elab.Plan { return elab.CompileExprSized(e, in, w, sg) })
-	} else {
-		p = elab.CompileExprSized(e, in, w, sg)
-	}
-	c := s.bind(p)
+	c := s.bind(elab.CompileExprSized(e, in, w, sg))
 	s.plans[k] = c
 	return c
 }
@@ -571,30 +557,19 @@ func (s *Simulator) waitSiteFor(n *vlog.EventCtrl, in *elab.Inst) *waitSite {
 }
 
 // starIdents returns the synthesized @* sensitivity idents for an event
-// control, stable per simulator via starCache and — with a shared
-// PlanCache — stable across simulators, so the per-ident plan keys share.
+// control, built once per simulator via starCache so the per-ident plan
+// keys stay stable across re-registrations of the same block.
 func (s *Simulator) starIdents(n *vlog.EventCtrl) []*vlog.Ident {
 	if ids, ok := s.starCache[n]; ok {
 		return ids
 	}
-	var ids []*vlog.Ident
-	if s.opts.Plans != nil {
-		ids = s.opts.Plans.starIdents(n, func() []*vlog.Ident { return synthStarIdents(n) })
-	} else {
-		ids = synthStarIdents(n)
+	names := dedup(collectStmtReads(n.Stmt, nil))
+	ids := make([]*vlog.Ident, len(names))
+	for i, name := range names {
+		ids[i] = &vlog.Ident{Name: name}
 	}
 	s.starCache[n] = ids
 	return ids
-}
-
-// synthStarIdents builds the @* sensitivity list as Ident nodes.
-func synthStarIdents(n *vlog.EventCtrl) []*vlog.Ident {
-	names := dedup(collectStmtReads(n.Stmt, nil))
-	idents := make([]*vlog.Ident, len(names))
-	for i, name := range names {
-		idents[i] = &vlog.Ident{Name: name}
-	}
-	return idents
 }
 
 // levelSite is the static part of one wait(cond): the condition plan and

@@ -56,11 +56,6 @@ type Options struct {
 	// compiled plans. The two engines are bit-for-bit equivalent; the
 	// interpreter exists as the differential baseline and for debugging.
 	Interpret bool
-
-	// Plans, when non-nil, shares immutable compiled expression plans
-	// across simulators (see PlanCache). Binding to runtime state stays
-	// per-simulator, so output is byte-identical with or without sharing.
-	Plans *PlanCache
 }
 
 func (o Options) maxTime() uint64 {
@@ -282,69 +277,6 @@ func New(d *elab.Design, opts Options) *Simulator {
 	return s
 }
 
-// Reset returns the simulator to its pre-Run state so the same design can
-// run again without rebuilding runtime objects or recompiling plans:
-// signal/memory/assignment state objects, compiled plans, bound writers,
-// and all static memos are preserved (the closures captured them), while
-// values, scheduler queues, output, and processes start fresh. The result
-// is byte-identical to a newly constructed simulator for the same design.
-// opts must agree with the construction options on Interpret and Plans;
-// seeds and limits may differ.
-func (s *Simulator) Reset(opts Options) {
-	s.opts = opts
-	var walk func(in *elab.Inst)
-	walk = func(in *elab.Inst) {
-		// value resets are per-signal and order-independent, mirroring the
-		// map traversal initInstance uses to build this state
-		for _, st := range s.signals[in] {
-			v := vnum.AllX(st.decl.Width)
-			if st.decl.Signed {
-				v = v.AsSigned()
-			}
-			st.val = v
-			st.waits = st.waits[:0]
-		}
-		for _, ms := range s.mems[in] {
-			for i := range ms.words {
-				w := vnum.AllX(ms.decl.Width)
-				if ms.decl.Signed {
-					w = w.AsSigned()
-				}
-				ms.words[i] = w
-			}
-		}
-		for _, c := range s.design.ChildrenOf(in) {
-			walk(c)
-		}
-	}
-	walk(s.design.Top)
-	for _, ca := range s.cas {
-		ca.queued = false
-	}
-	for i, p := range s.procs {
-		p.kill()
-		s.procs[i] = newProcess(s, p.proc)
-	}
-	s.time = 0
-	s.active = s.active[:0]
-	s.activeHead = 0
-	s.inactive = s.inactive[:0]
-	s.nba = nil
-	s.future = s.future[:0]
-	s.futureSeq = 0
-	s.out.Reset()
-	s.steps = 0
-	s.finished = false
-	s.rng = uint64(opts.RandomSeed)
-	if s.rng == 0 {
-		s.rng = 1
-	}
-	s.wave = nil
-	s.waveIDs = nil
-	s.waveOrder = nil
-	s.monitor = nil
-}
-
 // registerCADeps subscribes a continuous assignment to every signal its
 // right-hand side (and any lvalue index expressions) reads.
 func (s *Simulator) registerCADeps(cs *caState) {
@@ -396,7 +328,7 @@ func (s *Simulator) initInstance(in *elab.Inst) {
 		mems[name] = &memState{decl: decl, words: words}
 	}
 	s.mems[in] = mems
-	for _, c := range s.design.ChildrenOf(in) {
+	for _, c := range in.Children {
 		s.initInstance(c)
 	}
 }
@@ -568,7 +500,7 @@ func (s *Simulator) enableVCD() {
 			s.waveIDs[st] = s.wave.DeclareVar(kind, st.decl.Width, n)
 			s.waveOrder = append(s.waveOrder, st)
 		}
-		for _, c := range s.design.ChildrenOf(in) {
+		for _, c := range in.Children {
 			leaf := c.Path
 			if i := strings.LastIndexByte(leaf, '.'); i >= 0 {
 				leaf = leaf[i+1:]
