@@ -80,8 +80,9 @@ coord-check:
 
 # serve-check proves the remote backend: vgen-eval sweeping through
 # vgen-serve over loopback HTTP must render table3/fig6/passk
-# byte-identical to the in-process run, and the auto-paired recording
-# must replay to the same bytes offline.
+# byte-identical to the in-process run, so must a 4-shard vgen-coord
+# -proc sweep through the same server (table3), and the auto-paired
+# recording must replay to the same bytes offline.
 serve-check:
 	GO=$(GO) ./scripts/serve-check.sh
 

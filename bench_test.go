@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/bpe"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -47,22 +48,22 @@ var (
 
 func benchHarness() *harness.Harness {
 	benchOnce.Do(func() {
-		opts := harness.Options{
+		cfg := core.Config{
 			Seed:        123,
 			CorpusFiles: 60,
 			Sweep:       eval.SweepOptions{N: 5, Temperatures: []float64{0.1, 0.5, 1.0}},
 		}
-		var err error
-		benchH, err = harness.New(opts)
+		fw, err := core.New(cfg)
 		if err != nil {
 			panic(err)
 		}
-		alt := opts
-		alt.Corpus = model.GitHubPlusBooks
-		benchAlt, err = harness.New(alt)
+		benchH = fw.Harness
+		cfg.Corpus = model.GitHubPlusBooks
+		alt, err := core.New(cfg)
 		if err != nil {
 			panic(err)
 		}
+		benchAlt = alt.Harness
 	})
 	return benchH
 }
@@ -603,7 +604,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			rb, err := remote.NewBackend(remote.Config{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
+			rb, err := remote.NewBackend(gen.RemoteOptions{Endpoint: url, Timeout: 30 * time.Second, Seed: 123})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,16 +7,20 @@
 // Usage:
 //
 //	vgen-coord -dir STATE [-backend NAME] [-seed N] [-n N] [-quick]
+//	           [-corpus-files N] [-workers N]
 //	           [-experiment all|table3|table4|fig6|fig7|headline|passk|problems]
 //	           [-shards N] [-parallel N] [-proc]
 //	           [-timeout D] [-max-attempts N] [-backoff D] [-backoff-cap D]
 //	           [-steal-after D] [-unhealthy-after N]
-//	           [-endpoint URL] [-auth-env VAR] [-batch N] [-batch-linger D]
-//	           [-remote-timeout D] [-remote-budget D] [-remote-attempts N]
-//	           [-remote-backoff D] [-remote-backoff-cap D] [-remote-inflight N]
-//	           [-breaker-threshold N] [-breaker-cooldown D]
+//	           [-endpoint URL] [-auth-env VAR] [-remote-timeout D]
+//	           [-remote-budget D] [-remote-inflight N]
 //	           [-fault kind:shard:attempt,...] [-allow-partial] [-quiet]
 //	           [-store DIR]
+//
+// The sweep flags (-seed, -n, -quick, -corpus-files, -workers, -backend
+// and the remote flags) are shared with vgen-eval and mean the same
+// there, so a supervised and a monolithic run of one sweep take the same
+// flags.
 //
 // -dir is the durable state directory: shard plans, validated shard
 // results, and in-progress attempt files live there. Rerunning on the
@@ -32,9 +36,12 @@
 // never do, preserving the one-writer-per-directory contract.
 //
 // By default attempts run in-process. -proc launches each attempt as a
-// worker subprocess (this same binary in a hidden worker mode), so a
-// worker crash, OOM kill, or hang is isolated from the coordinator; the
-// supervision behavior is identical either way.
+// worker subprocess, so a worker crash, OOM kill, or hang is isolated
+// from the coordinator; the supervision behavior is identical either
+// way. A worker is this same binary re-executed with the coordinator's
+// whole command line plus a hidden worker-mode plan and result path, so
+// it inherits every sweep flag. The command line must therefore be flags
+// only.
 //
 // -fault injects deterministic failures (crash, hang, truncate, corrupt;
 // "*" for every attempt of a shard) at the supervision boundary — the
@@ -44,15 +51,14 @@
 // result, which exits non-zero unless -allow-partial.
 //
 // -endpoint points every worker at a vgen-serve instance (implies
-// -backend remote; DESIGN.md Section 13). The remote knobs thread
-// through to -proc worker subprocesses on their command line — except
-// the auth token, which travels only as the inherited environment
-// variable named by -auth-env. The two retry layers compose: transport
-// retries (-remote-attempts, with backoff and circuit breaking) absorb
-// transient network faults inside a shard attempt; anything that
-// outlives them surfaces as missing cells, fails the shard's validation,
-// and spends one shard-level retry (-max-attempts) — the shard budget is
-// never consumed by a fault the transport already healed.
+// -backend remote; DESIGN.md Section 13). The auth token never appears
+// on a command line: -auth-env names the environment variable holding
+// it, which -proc workers inherit. The two retry layers compose:
+// transport retries (with backoff and circuit breaking) absorb transient
+// network faults inside a shard attempt; anything that outlives them
+// surfaces as missing cells, fails the shard's validation, and spends
+// one shard-level retry (-max-attempts) — the shard budget is never
+// consumed by a fault the transport already healed.
 //
 // The per-shard event stream (plan/resume/start/steal/retry/quarantine/
 // done) goes to stderr as it happens; tables go to stdout at the end.
@@ -64,14 +70,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/gen"
 	"repro/internal/harness"
 )
 
@@ -80,165 +83,135 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	// Sweep/backend flags, mirroring vgen-eval so the supervised and
-	// monolithic runs of one sweep are configured identically.
-	seed := flag.Int64("seed", 1, "determinism seed for corpus, models and sampling")
-	n := flag.Int("n", 10, "completions per prompt")
-	quick := flag.Bool("quick", false, "sweep only t=0.1 (fast; matches best-t tables)")
-	experiment := flag.String("experiment", "all", "which cell-based artifact(s) to sweep and render")
-	corpusFiles := flag.Int("corpus-files", 0, "synthetic corpus size (0 = default)")
-	workers := flag.Int("workers", 0, "per-attempt evaluation pool width (0 = GOMAXPROCS)")
-	backend := flag.String("backend", "family", "generation backend by name")
+// cli is one parsed vgen-coord command line.
+type cli struct {
+	sweep *core.Flags
 
-	// Remote backend flags, mirroring vgen-eval. Transport retries compose
-	// *under* shard retries: a remote worker first retries each request up
-	// to -remote-attempts; only when a cell still cannot be served does the
-	// shard result come up short, fail validation, and consume one of the
-	// shard's -max-attempts. The shard-level budget is unchanged by any
-	// remote knob.
-	endpoint := flag.String("endpoint", "", "remote backend: completion service URL (implies -backend remote)")
-	authEnv := flag.String("auth-env", "", "remote backend: environment variable holding the bearer token")
-	remoteTimeout := flag.Duration("remote-timeout", 0, "remote backend: per-attempt HTTP deadline (0 = 30s)")
-	remoteBudget := flag.Duration("remote-budget", 0, "remote backend: per-worker request deadline budget (0 = none)")
-	remoteAttempts := flag.Int("remote-attempts", 0, "remote backend: per-request attempt budget (0 = 4)")
-	remoteBackoff := flag.Duration("remote-backoff", 0, "remote backend: base retry backoff (0 = 50ms)")
-	remoteBackoffCap := flag.Duration("remote-backoff-cap", 0, "remote backend: retry backoff cap (0 = 2s)")
-	remoteInflight := flag.Int("remote-inflight", 0, "remote backend: max concurrent HTTP requests per worker (0 = 16)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "remote backend: consecutive failures that trip the circuit breaker (0 = 5)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "remote backend: open-breaker cooldown before a half-open probe (0 = 1s)")
-	batchSize := flag.Int("batch", 0, "batch-capable backends: work items coalesced per CompleteBatch call (0 = 16)")
-	batchLinger := flag.Duration("batch-linger", 0, "batch-capable backends: max wait before flushing a partial batch (0 = flush when the feed drains)")
-
-	// Supervision flags.
-	shards := flag.Int("shards", 4, "partition count of the sweep")
-	parallel := flag.Int("parallel", 2, "concurrent worker slots")
-	dir := flag.String("dir", "", "durable state directory (required); rerun on the same directory resumes")
-	timeout := flag.Duration("timeout", 0, "per-attempt wall-clock budget (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 3, "per-shard attempt budget, speculative duplicates included")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "base retry delay, doubling per attempt")
-	backoffCap := flag.Duration("backoff-cap", 5*time.Second, "retry delay ceiling")
-	stealAfter := flag.Duration("steal-after", 0, "age after which an idle slot speculatively duplicates a straggler (0 = off)")
-	unhealthyAfter := flag.Int("unhealthy-after", 3, "consecutive failures that quarantine a worker slot")
-	proc := flag.Bool("proc", false, "run each attempt as a worker subprocess instead of in-process")
-	storeDir := flag.String("store", "", "persistent result store directory: resident cells are adopted before shards are planned, and validated results merge back (coordinator-only; workers never touch the store)")
-	faultSpec := flag.String("fault", "", "inject failures: kind:shard:attempt[,...] with kind crash|hang|truncate|corrupt and '*' for every attempt")
-	allowPartial := flag.Bool("allow-partial", false, "exit 0 on a partial result (missing shards/cells are reported either way)")
-	quiet := flag.Bool("quiet", false, "suppress the per-shard event stream")
+	experiment     string
+	shards         int
+	parallel       int
+	dir            string
+	timeout        time.Duration
+	maxAttempts    int
+	backoff        time.Duration
+	backoffCap     time.Duration
+	stealAfter     time.Duration
+	unhealthyAfter int
+	proc           bool
+	storeDir       string
+	faultSpec      string
+	allowPartial   bool
+	quiet          bool
 
 	// Hidden worker mode: what -proc execs. Deliberately undocumented in
 	// the usage string — the coordinator builds these command lines.
-	workerPlan := flag.String("worker-plan", "", "worker mode: execute this serialized shard plan")
-	workerOut := flag.String("worker-out", "", "worker mode: write the shard result file here")
-	flag.Parse()
+	workerPlan string
+	workerOut  string
+}
 
-	sweep := eval.SweepOptions{N: *n}
-	if *quick {
-		sweep.Temperatures = []float64{0.1}
-		if *n > 6 {
-			sweep.N = 6
-		}
+// parseArgs defines vgen-coord's flags on fs and parses args with them.
+// The command line must be flags only, because -proc workers re-execute
+// it with the worker flags appended: a stray argument would end flag
+// parsing before them.
+func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{sweep: core.RegisterFlags(fs)}
+	fs.StringVar(&c.experiment, "experiment", "all", "which cell-based artifact(s) to sweep and render")
+	fs.IntVar(&c.shards, "shards", 4, "partition count of the sweep")
+	fs.IntVar(&c.parallel, "parallel", 2, "concurrent worker slots")
+	fs.StringVar(&c.dir, "dir", "", "durable state directory (required); rerun on the same directory resumes")
+	fs.DurationVar(&c.timeout, "timeout", 0, "per-attempt wall-clock budget (0 = none)")
+	fs.IntVar(&c.maxAttempts, "max-attempts", 3, "per-shard attempt budget, speculative duplicates included")
+	fs.DurationVar(&c.backoff, "backoff", 100*time.Millisecond, "base retry delay, doubling per attempt")
+	fs.DurationVar(&c.backoffCap, "backoff-cap", 5*time.Second, "retry delay ceiling")
+	fs.DurationVar(&c.stealAfter, "steal-after", 0, "age after which an idle slot speculatively duplicates a straggler (0 = off)")
+	fs.IntVar(&c.unhealthyAfter, "unhealthy-after", 3, "consecutive failures that quarantine a worker slot")
+	fs.BoolVar(&c.proc, "proc", false, "run each attempt as a worker subprocess instead of in-process")
+	fs.StringVar(&c.storeDir, "store", "", "persistent result store directory: resident cells are adopted before shards are planned, and validated results merge back (coordinator-only; workers never touch the store)")
+	fs.StringVar(&c.faultSpec, "fault", "", "inject failures: kind:shard:attempt[,...] with kind crash|hang|truncate|corrupt and '*' for every attempt")
+	fs.BoolVar(&c.allowPartial, "allow-partial", false, "exit 0 on a partial result (missing shards/cells are reported either way)")
+	fs.BoolVar(&c.quiet, "quiet", false, "suppress the per-shard event stream")
+	fs.StringVar(&c.workerPlan, "worker-plan", "", "worker mode: execute this serialized shard plan")
+	fs.StringVar(&c.workerOut, "worker-out", "", "worker mode: write the shard result file here")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q (vgen-coord takes flags only)", fs.Arg(0))
+	}
+	return c, nil
+}
 
-	if *endpoint != "" {
-		switch *backend {
-		case "family": // default value: -endpoint alone implies the remote backend
-			*backend = "remote"
-		case "remote":
-		default:
-			fail("-endpoint conflicts with -backend %s (the endpoint would be ignored)", *backend)
-		}
-	}
-	if *backend == "remote" && *endpoint == "" {
-		fail("-backend remote needs -endpoint (the vgen-serve URL)")
-	}
-	var authToken string
-	if *authEnv != "" {
-		authToken = os.Getenv(*authEnv)
-		if authToken == "" {
-			fail("-auth-env: environment variable %s is empty or unset", *authEnv)
-		}
-	}
+// worker reports whether this process is a -proc worker.
+func (c *cli) worker() bool { return c.workerPlan != "" || c.workerOut != "" }
 
-	coreCfg := core.Config{
-		Seed: *seed, CorpusFiles: *corpusFiles, Sweep: sweep,
-		Workers: *workers, Backend: *backend,
-		Remote: gen.RemoteOptions{
-			Endpoint: *endpoint, AuthToken: authToken,
-			Timeout: *remoteTimeout, Budget: *remoteBudget,
-			MaxAttempts: *remoteAttempts, BackoffBase: *remoteBackoff, BackoffCap: *remoteBackoffCap,
-			MaxInFlight:      *remoteInflight,
-			BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
-		},
-		BatchSize: *batchSize, BatchLinger: *batchLinger,
+// config is the framework configuration of this process: the shared
+// sweep flags, plus the result store in coordinator mode only. A worker
+// inherits -store with the rest of the coordinator's command line but
+// never opens it, keeping one writer per store directory; its validated
+// results reach the store through the coordinator's merge.
+func (c *cli) config() (core.Config, error) {
+	cfg, err := c.sweep.Config()
+	if err == nil && !c.worker() {
+		cfg.StoreDir = c.storeDir
+	}
+	return cfg, err
+}
+
+// workerArgv is the command line of one -proc worker attempt: exe
+// re-executed with the coordinator's own arguments plus the attempt's
+// plan and result paths, so every worker is configured exactly like its
+// coordinator. The auth token stays out of argv: -auth-env names an
+// environment variable, which the worker inherits.
+func workerArgv(exe string, args []string, a coord.Attempt) []string {
+	argv := append([]string{exe}, args...)
+	return append(argv, "-worker-plan", a.PlanPath, "-worker-out", a.OutPath)
+}
+
+func main() {
+	c, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vgen-coord: %v\n", err)
+		os.Exit(2)
+	}
+	coreCfg, err := c.config()
+	if err != nil {
+		fail("%v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *workerPlan != "" || *workerOut != "" {
-		if *workerPlan == "" || *workerOut == "" {
+	if c.worker() {
+		if c.workerPlan == "" || c.workerOut == "" {
 			fail("worker mode needs both -worker-plan and -worker-out")
 		}
-		runWorker(ctx, *workerPlan, *workerOut, coreCfg)
+		runWorker(ctx, c.workerPlan, c.workerOut, coreCfg)
 		return
 	}
 
-	if *dir == "" {
+	if c.dir == "" {
 		fail("-dir is required: the durable state directory is what makes a coordinator resumable")
 	}
-	rejectNonCell(*experiment)
-	faults, err := coord.ParseFaultPlan(*faultSpec)
+	rejectNonCell(c.experiment)
+	faults, err := coord.ParseFaultPlan(c.faultSpec)
 	if err != nil {
 		fail("%v", err)
 	}
 
-	// The store attaches to the coordinator only: -proc workers never get
-	// -store, preserving the one-writer-per-directory discipline. Their
-	// validated results reach the store through the coordinator's merge.
-	coreCfg.StoreDir = *storeDir
 	fw, err := core.New(coreCfg)
 	if err != nil {
 		fail("%v", err)
 	}
 
 	var launcher coord.Launcher = &coord.FrameworkLauncher{FW: fw}
-	if *proc {
+	if c.proc {
 		exe, err := os.Executable()
 		if err != nil {
 			fail("-proc: %v", err)
 		}
-		base := []string{
-			exe,
-			"-seed", strconv.FormatInt(*seed, 10),
-			"-corpus-files", strconv.Itoa(*corpusFiles),
-			"-workers", strconv.Itoa(*workers),
-			"-backend", *backend,
-		}
-		if *backend == "remote" {
-			// Thread the transport config through to worker subprocesses.
-			// The auth token travels by env var name — subprocesses inherit
-			// the environment, so the secret itself stays out of argv.
-			base = append(base,
-				"-endpoint", *endpoint,
-				"-remote-timeout", remoteTimeout.String(),
-				"-remote-budget", remoteBudget.String(),
-				"-remote-attempts", strconv.Itoa(*remoteAttempts),
-				"-remote-backoff", remoteBackoff.String(),
-				"-remote-backoff-cap", remoteBackoffCap.String(),
-				"-remote-inflight", strconv.Itoa(*remoteInflight),
-				"-breaker-threshold", strconv.Itoa(*breakerThreshold),
-				"-breaker-cooldown", breakerCooldown.String(),
-				"-batch", strconv.Itoa(*batchSize),
-				"-batch-linger", batchLinger.String(),
-			)
-			if *authEnv != "" {
-				base = append(base, "-auth-env", *authEnv)
-			}
-		}
+		args := os.Args[1:]
 		launcher = &coord.ProcLauncher{Argv: func(a coord.Attempt) []string {
-			return append(append([]string(nil), base...),
-				"-worker-plan", a.PlanPath, "-worker-out", a.OutPath)
+			return workerArgv(exe, args, a)
 		}}
 	}
 	if !faults.Empty() {
@@ -246,20 +219,20 @@ func main() {
 	}
 
 	cfg := coord.Config{
-		Experiments: []string{*experiment},
-		Shards:      *shards,
-		Workers:     *parallel,
-		Dir:         *dir,
-		Timeout:     *timeout,
-		MaxAttempts: *maxAttempts,
-		BackoffBase: *backoff,
-		BackoffCap:  *backoffCap,
-		StealAfter:  *stealAfter,
+		Experiments: []string{c.experiment},
+		Shards:      c.shards,
+		Workers:     c.parallel,
+		Dir:         c.dir,
+		Timeout:     c.timeout,
+		MaxAttempts: c.maxAttempts,
+		BackoffBase: c.backoff,
+		BackoffCap:  c.backoffCap,
+		StealAfter:  c.stealAfter,
 
-		UnhealthyAfter: *unhealthyAfter,
-		Seed:           *seed,
+		UnhealthyAfter: c.unhealthyAfter,
+		Seed:           coreCfg.Seed,
 	}
-	if !*quiet {
+	if !c.quiet {
 		cfg.Events = streamEvent
 	}
 
@@ -269,11 +242,11 @@ func main() {
 		fail("%v", err)
 	}
 	fmt.Fprint(os.Stderr, res.Report())
-	renderExperiments(harness.FromResults(res.Set, sweep), *experiment)
+	renderExperiments(harness.FromResults(res.Set, coreCfg.Sweep), c.experiment)
 	if err := fw.Close(); err != nil {
 		fail("%v", err)
 	}
-	if !res.Complete() && !*allowPartial {
+	if !res.Complete() && !c.allowPartial {
 		os.Exit(1)
 	}
 }

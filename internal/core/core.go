@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -51,12 +50,6 @@ type Config struct {
 	// A zero Remote.Seed inherits Seed, so transport retry jitter is
 	// reproducible from the sweep seed alone.
 	Remote gen.RemoteOptions
-
-	// BatchSize and BatchLinger tune the evaluation engine's batch
-	// coalescing when the backend implements gen.BatchBackend; zero means
-	// the engine defaults. Batch composition never changes results.
-	BatchSize   int
-	BatchLinger time.Duration
 
 	// StoreDir attaches a persistent result store rooted at this
 	// directory: evaluated cells persist there keyed by sweep identity
@@ -142,8 +135,6 @@ func New(cfg Config) (*Framework, error) {
 	}
 	runner := eval.NewRunner(fw.Backend, cfg.Seed)
 	runner.Workers = cfg.Workers
-	runner.BatchSize = cfg.BatchSize
-	runner.BatchLinger = cfg.BatchLinger
 	fw.Runner = runner
 	fw.source = runner
 	fw.Harness = &harness.Harness{Runner: runner, Opts: cfg.Sweep, Seed: cfg.Seed}

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -288,15 +287,11 @@ type Runner struct {
 	// width; see DESIGN.md, "Determinism under parallelism".
 	Workers int
 
-	// BatchSize caps how many work items are coalesced into one
-	// CompleteBatch call when Backend implements gen.BatchBackend; 0 means
-	// 16. BatchLinger bounds how long the coalescer holds a partial batch
-	// open waiting for more items before flushing it; 0 means partial
-	// batches flush only when the feed drains. Batch composition never
-	// affects results: samples are pure functions of their coordinates, so
-	// any size/linger produces byte-identical CellStats.
-	BatchSize   int
-	BatchLinger time.Duration
+	// BatchSize caps how many work items go into one CompleteBatch call
+	// when Backend implements gen.BatchBackend; 0 means 16. Batch
+	// composition never affects results: samples are pure functions of
+	// their coordinates, so any size produces byte-identical CellStats.
+	BatchSize int
 
 	// CacheBytes bounds the sharded outcome cache's accounted size: 0
 	// means DefaultCacheBytes, negative disables the bound. The cache is
@@ -645,11 +640,7 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 		}
 	}
 
-	if bb, ok := r.Backend.(gen.BatchBackend); ok {
-		r.runBatched(ctx, bb, qs, keys, bases, results, items)
-	} else {
-		r.runSingles(ctx, qs, keys, bases, results, items)
-	}
+	r.runBatched(ctx, qs, keys, bases, results, items)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -729,184 +720,101 @@ func (r *Runner) EvaluateBatchCtx(ctx context.Context, qs []Query) ([]CellStats,
 // workItem addresses one (query, sample) work unit of a batch.
 type workItem struct{ qi, si int }
 
-// runSingles is the one-call-per-sample path: every work item fans across
-// the pool as its own Backend.Complete call.
-func (r *Runner) runSingles(ctx context.Context, qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
-	run := func(it workItem) {
-		q := qs[it.qi]
-		s, ok := r.Backend.Complete(keys[it.qi], q.Problem, q.Level, q.Temperature, it.si, bases[it.qi])
-		if !ok {
-			return // slot stays zero with ok=false -> excluded from stats
-		}
-		o := r.evaluate(q.Problem, q.Level, s.Completion)
-		results[it.qi][it.si] = sampleResult{outcome: o, latency: s.Latency, ok: true}
-	}
-
-	if w := r.workers(); w <= 1 || len(items) <= 1 {
-		for _, it := range items {
-			if ctx.Err() != nil {
-				return
-			}
-			run(it)
-		}
-	} else {
-		if w > len(items) {
-			w = len(items)
-		}
-		ch := make(chan workItem, w)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				for it := range ch {
-					run(it)
-				}
-			}()
-		}
-	feed:
-		for _, it := range items {
-			select {
-			case ch <- it:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(ch)
-		wg.Wait()
-	}
-}
-
-// defaultBatchSize is the CompleteBatch coalescing width when
-// Runner.BatchSize is unset — big enough to amortize per-call transport
-// overhead across the sweep fan-out, small enough that a lost batch
-// degrades few cells.
+// defaultBatchSize is the CompleteBatch width when Runner.BatchSize is
+// unset — big enough to amortize per-call transport overhead across the
+// sweep fan-out, small enough that a lost batch degrades few cells.
 const defaultBatchSize = 16
 
-// runBatched is the batch fast path: work items are coalesced into
-// CompleteBatch calls of up to BatchSize items (a partial batch flushes
-// after BatchLinger, or when the feed drains), fanned across the worker
-// pool. Outcome evaluation stays per-sample in the workers; slot
-// ownership and the fixed-order reduction are untouched, so results are
-// byte-identical to the single-call path at any batch composition.
-func (r *Runner) runBatched(ctx context.Context, bb gen.BatchBackend, qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
-	bs := r.BatchSize
-	if bs <= 0 {
-		bs = defaultBatchSize
-	}
-
-	run := func(bt []workItem) {
-		reqs := make([]gen.Request, len(bt))
-		for i, it := range bt {
+// runBatched fans the work items across the worker pool in chunks: one
+// item per Backend.Complete call for a plain backend, up to BatchSize
+// items per CompleteBatch call for a gen.BatchBackend. Every chunk is a
+// sub-slice of items. Outcome evaluation stays per-sample in the workers;
+// slot ownership and the fixed-order reduction do not depend on the
+// chunking, so results are byte-identical at any width and batch size.
+func (r *Runner) runBatched(ctx context.Context, qs []Query, keys []gen.Key, bases []int64, results [][]sampleResult, items []workItem) {
+	size := 1
+	run := func(chunk []workItem) {
+		for _, it := range chunk {
 			q := qs[it.qi]
-			reqs[i] = gen.Request{
-				Key: keys[it.qi], Problem: q.Problem, Level: q.Level,
-				Temperature: q.Temperature, SampleIdx: it.si, BaseSeed: bases[it.qi],
+			s, ok := r.Backend.Complete(keys[it.qi], q.Problem, q.Level, q.Temperature, it.si, bases[it.qi])
+			if !ok {
+				continue // slot stays zero with ok=false -> excluded from stats
 			}
-		}
-		res := bb.CompleteBatch(ctx, reqs)
-		if len(res) != len(reqs) {
-			err := fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.tag, len(res), len(reqs))
-			for _, it := range bt {
-				results[it.qi][it.si] = sampleResult{err: err}
-			}
-			return
-		}
-		for i, it := range bt {
-			q := qs[it.qi]
-			switch {
-			case res[i].Err != nil:
-				results[it.qi][it.si] = sampleResult{err: res[i].Err}
-			case res[i].OK:
-				o := r.evaluate(q.Problem, q.Level, res[i].Sample.Completion)
-				results[it.qi][it.si] = sampleResult{outcome: o, latency: res[i].Sample.Latency, ok: true}
-			}
+			o := r.evaluate(q.Problem, q.Level, s.Completion)
+			results[it.qi][it.si] = sampleResult{outcome: o, latency: s.Latency, ok: true}
 		}
 	}
+	if bb, ok := r.Backend.(gen.BatchBackend); ok {
+		size = r.BatchSize
+		if size <= 0 {
+			size = defaultBatchSize
+		}
+		run = func(chunk []workItem) {
+			reqs := make([]gen.Request, len(chunk))
+			for i, it := range chunk {
+				q := qs[it.qi]
+				reqs[i] = gen.Request{
+					Key: keys[it.qi], Problem: q.Problem, Level: q.Level,
+					Temperature: q.Temperature, SampleIdx: it.si, BaseSeed: bases[it.qi],
+				}
+			}
+			res := bb.CompleteBatch(ctx, reqs)
+			if len(res) != len(reqs) {
+				err := fmt.Errorf("eval: backend %s returned %d results for a %d-request batch", r.tag, len(res), len(reqs))
+				for _, it := range chunk {
+					results[it.qi][it.si] = sampleResult{err: err}
+				}
+				return
+			}
+			for i, it := range chunk {
+				q := qs[it.qi]
+				switch {
+				case res[i].Err != nil:
+					results[it.qi][it.si] = sampleResult{err: res[i].Err}
+				case res[i].OK:
+					o := r.evaluate(q.Problem, q.Level, res[i].Sample.Completion)
+					results[it.qi][it.si] = sampleResult{outcome: o, latency: res[i].Sample.Latency, ok: true}
+				}
+			}
+		}
+	}
+	chunk := func(start int) []workItem { return items[start:min(start+size, len(items))] }
 
+	chunks := (len(items) + size - 1) / size
 	w := r.workers()
-	if w <= 1 || len(items) <= bs {
-		for start := 0; start < len(items); start += bs {
+	if w <= 1 || chunks <= 1 {
+		for start := 0; start < len(items); start += size {
 			if ctx.Err() != nil {
 				return
 			}
-			end := start + bs
-			if end > len(items) {
-				end = len(items)
-			}
-			run(items[start:end])
+			run(chunk(start))
 		}
 		return
 	}
-
-	batches := make(chan []workItem, w)
+	if w > chunks {
+		w = chunks
+	}
+	ch := make(chan []workItem, w)
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
-			for bt := range batches {
-				run(bt)
+			for c := range ch {
+				run(c)
 			}
 		}()
 	}
-	r.coalesce(ctx, items, bs, batches)
-	close(batches)
+feed:
+	for start := 0; start < len(items); start += size {
+		select {
+		case ch <- chunk(start):
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(ch)
 	wg.Wait()
-}
-
-// coalesce groups items into batches of up to size, flushing a partial
-// batch when BatchLinger elapses since its first item was buffered. With
-// every item available up front the linger rarely fires — batches fill —
-// but the same machinery serves a slow feed (a paced re-sweep, a future
-// streaming planner) without holding one item hostage indefinitely.
-func (r *Runner) coalesce(ctx context.Context, items []workItem, size int, batches chan<- []workItem) {
-	var buf []workItem
-	var timer *time.Timer
-	var lingerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, lingerC = nil, nil
-		}
-	}
-	flush := func() bool {
-		stopTimer()
-		if len(buf) == 0 {
-			return true
-		}
-		bt := buf
-		buf = nil
-		select {
-		case batches <- bt:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for _, it := range items {
-		select {
-		case <-ctx.Done():
-			return
-		case <-lingerC:
-			if !flush() {
-				return
-			}
-		default:
-		}
-		buf = append(buf, it)
-		if len(buf) >= size {
-			if !flush() {
-				return
-			}
-			continue
-		}
-		if r.BatchLinger > 0 && timer == nil {
-			timer = time.NewTimer(r.BatchLinger)
-			lingerC = timer.C
-		}
-	}
-	flush()
 }
 
 // CellFailure is one planned cell whose samples could not be produced —

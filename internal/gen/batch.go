@@ -45,9 +45,9 @@ type BatchResult struct {
 }
 
 // BatchBackend is the optional fast path: produce samples for many
-// coordinates in one call. The evaluation engine detects it and coalesces
-// work items into batches (eval.Runner.BatchSize / BatchLinger); backends
-// without it are served sample-by-sample through Complete.
+// coordinates in one call. The evaluation engine detects it and cuts its
+// work items into batches of eval.Runner.BatchSize; backends without it
+// are served sample-by-sample through Complete.
 //
 // The contract extends Backend's: the returned slice must have exactly
 // one BatchResult per Request, in request order; each result must be the

@@ -381,9 +381,9 @@ func TestConformanceConcurrentCompleteBatch(t *testing.T) {
 }
 
 // TestConformanceBatchCompositionIdentity runs the probe sweep through
-// the engine at batch sizes 1, 3, and 16 (with and without a linger
-// window) and requires bit-identical CellStats: how work coalesces into
-// batches must never reach the output bytes.
+// the engine at batch sizes 1, 3, and 16 and requires bit-identical
+// CellStats: how work is cut into batches must never reach the output
+// bytes.
 func TestConformanceBatchCompositionIdentity(t *testing.T) {
 	for name, bb := range batchBackendsUnderTest(t) {
 		qs := confQueries(t, bb)
@@ -392,9 +392,6 @@ func TestConformanceBatchCompositionIdentity(t *testing.T) {
 			r := eval.NewRunner(bb, confSeed)
 			r.Workers = 4
 			r.BatchSize = batch
-			if batch == 3 {
-				r.BatchLinger = time.Millisecond
-			}
 			got := r.EvaluateBatch(qs)
 			if base == nil {
 				base = got

@@ -68,10 +68,10 @@ type Backend interface {
 	// (e.g. the mutant backend) list their canonical line-up.
 	Variants() []Key
 
-	// Describe returns a short human-readable description. It also tags
-	// the evaluation engine's outcome-cache keys, so two backends sharing
-	// a Runner seed never alias cache entries; keep it stable for the
-	// backend's lifetime.
+	// Describe returns a short human-readable description. It is also
+	// the sweep identity that store cells and shard metadata are keyed by
+	// (with the Runner seed), so two backends must never share one; keep
+	// it stable for the backend's lifetime.
 	Describe() string
 }
 

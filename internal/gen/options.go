@@ -24,7 +24,7 @@ type Options struct {
 // lives here (not in internal/remote) so registry users select the
 // backend by name without importing the transport package; internal/remote
 // reads it in its factory. Zero values mean "transport default" — see
-// remote.Config for the resolved numbers.
+// the defaults in internal/remote/transport.go for the resolved numbers.
 type RemoteOptions struct {
 	// Endpoint is the completion service base URL (http://host:port).
 	// Required: the factory fails without it.

@@ -138,8 +138,9 @@ func (r *Recorder) CompleteBatch(ctx context.Context, reqs []Request) []BatchRes
 // Variants delegates to the wrapped backend.
 func (r *Recorder) Variants() []Key { return r.inner.Variants() }
 
-// Describe tags the wrapped description so recorded and unrecorded
-// runners never alias outcome-cache entries.
+// Describe tags the wrapped description, so a recorder is never taken
+// for the backend it wraps. The framework keys sweep identity by the
+// unwrapped backend's Describe, because recording only observes.
 func (r *Recorder) Describe() string { return "record(" + r.inner.Describe() + ")" }
 
 // Err reports the first write error, if any. Check it after the sweep:

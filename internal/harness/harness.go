@@ -138,52 +138,6 @@ func (h *Harness) PlanFor(experiments []string) (*eval.Plan, error) {
 	return plan, nil
 }
 
-// Options configure New.
-type Options struct {
-	Seed        int64
-	CorpusFiles int // synthetic corpus scale; 0 = family default
-	Sweep       eval.SweepOptions
-	Corpus      model.CorpusKind
-	Workers     int // evaluation pool width; 0 = GOMAXPROCS, 1 = serial
-
-	// Backend selects the generation backend by registered name; "" means
-	// "family", the simulated line-up. Replay names the JSONL recording
-	// for the replay backend.
-	Backend string
-	Replay  string
-}
-
-// New builds a harness, selecting the generation backend by name. Only
-// backends with external inputs can fail to construct (replay with a
-// missing or malformed recording); the default family path always
-// succeeds.
-func New(o Options) (*Harness, error) {
-	name := o.Backend
-	if name == "" {
-		name = "family"
-	}
-	b, err := gen.New(name, gen.Options{
-		Family: model.Config{
-			Seed:        o.Seed,
-			CorpusFiles: o.CorpusFiles,
-			Corpus:      o.Corpus,
-		},
-		ReplayPath: o.Replay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromBackend(b, o), nil
-}
-
-// FromBackend builds a harness over an already-constructed backend —
-// the hook for recorded, wrapped, or third-party sources.
-func FromBackend(b gen.Backend, o Options) *Harness {
-	runner := eval.NewRunner(b, o.Seed)
-	runner.Workers = o.Workers
-	return &Harness{Runner: runner, Opts: o.Sweep, Seed: o.Seed}
-}
-
 // paperVariantOrder lists Tables III/IV rows in the paper's order.
 var paperVariantOrder = []model.ID{
 	model.Megatron355M, model.CodeGen2B, model.CodeGen6B,
@@ -411,17 +365,17 @@ func (h *Harness) Ablation() string {
 	if h.Runner == nil {
 		return "Corpus ablation unavailable: needs a live backend, not merged shard results\n"
 	}
-	ghOnly, err := New(Options{Seed: h.Seed, Sweep: h.Opts, Corpus: model.GitHubOnly, Workers: h.Runner.Workers})
-	if err != nil {
-		return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
+	var rate [2]float64
+	for i, kind := range []model.CorpusKind{model.GitHubOnly, model.GitHubPlusBooks} {
+		b, err := gen.New("family", gen.Options{Family: model.Config{Seed: h.Seed, Corpus: kind}})
+		if err != nil {
+			return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
+		}
+		r := eval.NewRunner(b, h.Seed)
+		r.Workers = h.Runner.Workers
+		rate[i] = r.Aggregate(eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}, h.Opts).PassRate()
 	}
-	withBooks, err := New(Options{Seed: h.Seed, Sweep: h.Opts, Corpus: model.GitHubPlusBooks, Workers: h.Runner.Workers})
-	if err != nil {
-		return fmt.Sprintf("Corpus ablation unavailable: %v\n", err)
-	}
-	mv := eval.ModelVariant{Model: model.CodeGen16B, Variant: model.FineTuned}
-	a := ghOnly.Runner.Aggregate(mv, h.Opts).PassRate()
-	b := withBooks.Runner.Aggregate(mv, h.Opts).PassRate()
+	a, b := rate[0], rate[1]
 	rel := 0.0
 	if a > 0 {
 		rel = b/a - 1

@@ -5,20 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/gen"
+	"repro/internal/model"
 )
+
+// familyHarness builds a live harness over the family backend at seed 7
+// and a 60-file corpus.
+func familyHarness(t *testing.T, sweep eval.SweepOptions) *Harness {
+	t.Helper()
+	b, err := gen.New("family", gen.Options{Family: model.Config{Seed: 7, CorpusFiles: 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Harness{Runner: eval.NewRunner(b, 7), Opts: sweep, Seed: 7}
+}
 
 // quick sweep settings keep the full-table tests fast
 func quickHarness(t *testing.T) *Harness {
 	t.Helper()
-	h, err := New(Options{
-		Seed:        7,
-		CorpusFiles: 60,
-		Sweep:       eval.SweepOptions{N: 4, Temperatures: []float64{0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return familyHarness(t, eval.SweepOptions{N: 4, Temperatures: []float64{0.1}})
 }
 
 func TestTableIStatic(t *testing.T) {
@@ -174,15 +179,8 @@ func TestDeterministicTables(t *testing.T) {
 // caches), merge, and render from the merged stats alone. Output must be
 // byte-identical to the live harness at every five-temperature artifact.
 func TestMergedShardsRenderIdentical(t *testing.T) {
-	opts := Options{
-		Seed:        7,
-		CorpusFiles: 60,
-		Sweep:       eval.SweepOptions{N: 3, Temperatures: []float64{0.1, 0.3, 0.5, 0.7, 1.0}},
-	}
-	live, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := eval.SweepOptions{N: 3, Temperatures: []float64{0.1, 0.3, 0.5, 0.7, 1.0}}
+	live := familyHarness(t, sweep)
 	experiments := []string{"table3", "fig6", "passk"}
 	plan, err := live.PlanFor(experiments)
 	if err != nil {
@@ -195,10 +193,7 @@ func TestMergedShardsRenderIdentical(t *testing.T) {
 	const shards = 3
 	merged := eval.NewResultSet()
 	for i := 0; i < shards; i++ {
-		worker, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		worker := familyHarness(t, sweep)
 		sub, err := plan.Shard(i, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +207,7 @@ func TestMergedShardsRenderIdentical(t *testing.T) {
 		}
 	}
 
-	offline := FromResults(merged, opts.Sweep)
+	offline := FromResults(merged, sweep)
 	for _, check := range []struct {
 		name string
 		f    func(*Harness) string

@@ -10,16 +10,16 @@ import (
 
 func init() {
 	gen.Register("remote", "JSON-over-HTTP proxy to a completion service (vgen-serve); retrying, circuit-broken, batch-capable", func(o gen.Options) (gen.Backend, error) {
-		return NewBackend(configFrom(o.Remote))
+		return NewBackend(o.Remote)
 	})
 }
 
 // backend proxies gen.Backend (and the BatchBackend fast path) over the
 // wire protocol. Construction dials /v1/info so a bad endpoint fails
 // fast at setup instead of degrading every cell of the sweep; the
-// response's backend description is folded into Describe so outcome-cache
-// entries and sweep identity never alias across different served
-// backends.
+// response's backend description is folded into Describe, the sweep
+// identity that store cells and shard metadata are keyed by, so sweeps of
+// different served backends never alias.
 type backend struct {
 	t        *Transport
 	desc     string
@@ -27,14 +27,14 @@ type backend struct {
 }
 
 // NewBackend connects to the endpoint and returns the proxy backend.
-func NewBackend(cfg Config) (gen.Backend, error) {
-	t, err := NewTransport(cfg)
+func NewBackend(o gen.RemoteOptions) (gen.Backend, error) {
+	t, err := NewTransport(o)
 	if err != nil {
 		return nil, err
 	}
 	desc, variants, err := t.Info(context.Background())
 	if err != nil {
-		return nil, fmt.Errorf("remote: endpoint %s unusable: %w", cfg.Endpoint, err)
+		return nil, fmt.Errorf("remote: endpoint %s unusable: %w", o.Endpoint, err)
 	}
 	return &backend{t: t, desc: "remote(" + desc + ")", variants: variants}, nil
 }
@@ -65,5 +65,6 @@ func (b *backend) CompleteBatch(ctx context.Context, reqs []gen.Request) []gen.B
 func (b *backend) Variants() []gen.Key { return append([]gen.Key(nil), b.variants...) }
 
 // Describe tags the proxy with the served backend's own description, so
-// remote(family(...)) and remote(replay(...)) never share cache entries.
+// remote(family(...)) and remote(replay(...)) sweeps have distinct
+// identities.
 func (b *backend) Describe() string { return b.desc }

@@ -14,9 +14,9 @@ import (
 	"repro/internal/gen"
 )
 
-// Transport defaults, applied by NewTransport for zero-valued Config
-// fields. The numbers are sized for a LAN/loopback completion service;
-// CLIs expose every knob.
+// Transport defaults, applied by NewTransport for zero-valued
+// gen.RemoteOptions fields. The numbers are sized for a LAN/loopback
+// completion service.
 const (
 	defaultTimeout          = 30 * time.Second
 	defaultMaxAttempts      = 4
@@ -27,41 +27,9 @@ const (
 	defaultBreakerCooldown  = time.Second
 )
 
-// Config parameterizes the transport. It is gen.RemoteOptions with the
-// defaults resolved; construct one with configFrom or fill it directly in
-// tests.
-type Config struct {
-	Endpoint  string
-	AuthToken string
-
-	Timeout time.Duration // per-attempt deadline
-	Budget  time.Duration // sweep-level deadline; 0 means none
-
-	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-
-	MaxInFlight int
-
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	Seed int64
-}
-
-// configFrom resolves registry options into a Config with defaults.
-func configFrom(o gen.RemoteOptions) Config {
-	return Config{
-		Endpoint: o.Endpoint, AuthToken: o.AuthToken,
-		Timeout: o.Timeout, Budget: o.Budget,
-		MaxAttempts: o.MaxAttempts, BackoffBase: o.BackoffBase, BackoffCap: o.BackoffCap,
-		MaxInFlight: o.MaxInFlight,
-		BreakerThreshold: o.BreakerThreshold, BreakerCooldown: o.BreakerCooldown,
-		Seed: o.Seed,
-	}
-}
-
-func (c Config) withDefaults() (Config, error) {
+// withDefaults validates the endpoint and resolves every zero-valued
+// field of c to its transport default.
+func withDefaults(c gen.RemoteOptions) (gen.RemoteOptions, error) {
 	if c.Endpoint == "" {
 		return c, errors.New("remote: endpoint required (-endpoint)")
 	}
@@ -99,7 +67,7 @@ func (c Config) withDefaults() (Config, error) {
 // circuit-broken, concurrency-bounded, budget-bounded. Safe for
 // concurrent use — the eval pool calls it from every worker.
 type Transport struct {
-	cfg      Config
+	cfg      gen.RemoteOptions // defaults resolved
 	client   *http.Client
 	br       *breaker
 	sem      chan struct{} // bounds in-flight HTTP attempts
@@ -110,12 +78,13 @@ type Transport struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewTransport builds a transport over cfg. The sweep-level budget is
+// NewTransport builds a transport over o, resolving its zero-valued
+// fields to the transport defaults. The sweep-level budget is
 // anchored here: the deadline is Budget from construction time, and every
 // request the transport ever sends shares it (per-attempt deadlines are
 // min(Timeout, remaining budget) via nested contexts).
-func NewTransport(cfg Config) (*Transport, error) {
-	cfg, err := cfg.withDefaults()
+func NewTransport(o gen.RemoteOptions) (*Transport, error) {
+	cfg, err := withDefaults(o)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,10 @@
 # serve-check: the differential gate for the remote backend. vgen-eval
 # driving the whole sweep through `vgen-serve -backend family` over
 # loopback HTTP must reproduce the in-process TableIII / Figure6 /
-# pass@k output byte-for-byte, and the recording auto-paired with the
-# remote run must replay to the same bytes with no server at all. Run
-# via `make serve-check`.
+# pass@k output byte-for-byte, a supervised `vgen-coord -proc` sweep
+# through the same server must merge to the same table3 bytes, and the
+# recording auto-paired with the remote run must replay to the same bytes
+# with no server at all. Run via `make serve-check`.
 set -eu
 
 GO=${GO:-go}
@@ -21,7 +22,9 @@ trap cleanup EXIT
 
 $GO build -o "$tmp/vgen-eval" ./cmd/vgen-eval
 $GO build -o "$tmp/vgen-serve" ./cmd/vgen-serve
+$GO build -o "$tmp/vgen-coord" ./cmd/vgen-coord
 V="$tmp/vgen-eval"
+C="$tmp/vgen-coord"
 
 # Serve the family backend on an ephemeral port; the atomically-written
 # url file is the readiness signal.
@@ -64,6 +67,29 @@ for exp in $EXPERIMENTS; do
     echo "serve-check ok: $exp via $URL"
 done
 
+# Supervised remote sweep: each -proc worker re-executes the
+# coordinator's command line, so -endpoint and the sweep flags reach every
+# worker subprocess, whose shard results must merge to the in-process
+# bytes.
+# shellcheck disable=SC2086
+if ! "$C" $FLAGS -experiment table3 -endpoint "$URL" -shards 4 -parallel 2 -proc \
+    -dir "$tmp/coord-state" > "$tmp/coord-table3.txt" 2> "$tmp/coord-table3.err"; then
+    echo "serve-check FAIL: supervised remote run failed" >&2
+    cat "$tmp/coord-table3.err" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/golden-table3.txt" "$tmp/coord-table3.txt"; then
+    echo "serve-check FAIL: supervised remote output differs from in-process" >&2
+    diff "$tmp/golden-table3.txt" "$tmp/coord-table3.txt" >&2 || true
+    exit 1
+fi
+if [ "$(grep -c ' done (attempt' "$tmp/coord-table3.err")" -ne 4 ]; then
+    echo "serve-check FAIL: supervised remote run did not execute all 4 shards" >&2
+    cat "$tmp/coord-table3.err" >&2
+    exit 1
+fi
+echo "serve-check ok: table3 via vgen-coord -proc workers on $URL"
+
 # The recorder pairing: replaying the remote run's recording must render
 # the same bytes offline. Recordings concatenate cleanly
 # (coordinate-addressed, later lines win).
@@ -83,4 +109,4 @@ for exp in $EXPERIMENTS; do
     echo "serve-check ok: $exp replayed offline"
 done
 
-echo "serve-check PASS: remote sweep and its recording are byte-identical to in-process"
+echo "serve-check PASS: remote sweep, supervised remote sweep and recording are byte-identical to in-process"
