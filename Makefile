@@ -28,14 +28,15 @@ test: vet check
 	$(GO) test ./...
 
 # race-checks the packages with concurrency: the parallel evaluation
-# engine, the model family it drives, the generation-backend layer, the
-# sweep coordinator (whose fault-injection suite exercises every
-# supervision path), the remote transport (whose fault-matrix suite
-# exercises every recovery path), the result store (shared by parallel
-# sweep workers through its cached source), and the analyzer driver
-# (loads packages from many golden trees).
+# engine, the model family it drives, the n-gram sampler (its weight
+# cache is filled by whichever goroutine draws first), the
+# generation-backend layer, the sweep coordinator (whose fault-injection
+# suite exercises every supervision path), the remote transport (whose
+# fault-matrix suite exercises every recovery path), the result store
+# (shared by parallel sweep workers through its cached source), and the
+# analyzer driver (loads packages from many golden trees).
 race:
-	$(GO) test -race ./internal/eval/... ./internal/model/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
+	$(GO) test -race ./internal/eval/... ./internal/model/... ./internal/ngram/... ./internal/gen/... ./internal/coord/... ./internal/remote/... ./internal/store/... ./internal/goanalysis/...
 
 # -json emits the test2json stream (one JSON object per line) including
 # every Benchmark output line, so the file is grep- and jq-friendly.

@@ -1,8 +1,6 @@
 package gen
 
 import (
-	"math/rand"
-
 	"repro/internal/model"
 	"repro/internal/mutate"
 	"repro/internal/problems"
@@ -36,7 +34,7 @@ func NewMutant() *Mutant { return &Mutant{} }
 // splitmix derivation, so the backend honors the cross-worker determinism
 // contract by construction.
 func (m *Mutant) Complete(key Key, p *problems.Problem, level problems.Level, temperature float64, sampleIdx int, baseSeed int64) (Sample, bool) {
-	rng := rand.New(rand.NewSource(model.SampleSeed(baseSeed, sampleIdx)))
+	rng := model.SampleRand(baseSeed, sampleIdx)
 	lat := 0.5 * (0.9 + 0.2*rng.Float64())
 	u := rng.Float64()
 	if u < 0.10 {

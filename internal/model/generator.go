@@ -297,8 +297,7 @@ func SampleSeed(base int64, idx int) int64 {
 // CompleteAt produces sample idx of the query identified by baseSeed. The
 // draw depends only on (baseSeed, idx), never on the other samples.
 func (g *Generator) CompleteAt(p *problems.Problem, level problems.Level, temperature float64, idx int, baseSeed int64) Sample {
-	rng := rand.New(rand.NewSource(SampleSeed(baseSeed, idx)))
-	return g.Complete(p, level, temperature, rng)
+	return g.Complete(p, level, temperature, SampleRand(baseSeed, idx))
 }
 
 // CompleteN produces n completions (the paper's completions-per-prompt).

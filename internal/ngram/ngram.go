@@ -144,11 +144,12 @@ func (m *Model) contextDist(history []int) *dist {
 // sortedDist is one next-token distribution viewed as ascending token ids
 // with inclusive cumulative counts. Both the map path (which builds the
 // view per call) and the frozen path (which stores it packed) sample
-// through the same pick method, so the two engines are byte-identical by
-// construction.
+// through the same pick method, and both fill w through the same
+// softmaxCum, so the two engines are byte-identical by construction.
 type sortedDist struct {
 	toks []int64
 	cum  []int64
+	w    []float64 // softmaxCum at the draw's temperature when usesWeights
 }
 
 func (d sortedDist) count(i int) int64 {
@@ -158,13 +159,40 @@ func (d sortedDist) count(i int) int64 {
 	return d.cum[i] - d.cum[i-1]
 }
 
+// usesWeights reports whether a draw at this temperature samples from
+// softmax weights: everything but greedy (<= 0) and the integer-count
+// path (exactly 1), NaN included.
+func usesWeights(temperature float64) bool {
+	return !(temperature <= 0) && temperature != 1
+}
+
+// softmaxCum fills w (len(d.toks) long) with the inclusive cumulative
+// softmax-over-log-count weights of d at the given temperature. The map
+// sampler calls it per draw and the frozen sampler once per temperature;
+// one function keeps their float operation order, and so their picks,
+// identical.
+func softmaxCum(w []float64, d sortedDist, temperature float64) {
+	maxLog := math.Inf(-1)
+	for i := range w {
+		l := math.Log(float64(d.count(i))) / temperature
+		if l > maxLog {
+			maxLog = l
+		}
+		w[i] = l
+	}
+	total := 0.0
+	for i := range w {
+		total += math.Exp(w[i] - maxLog)
+		w[i] = total
+	}
+}
+
 // pick draws one token. Temperature 0 is greedy (ties break to the
 // smallest token id); temperature 1 is a binary search over the integer
 // cumulative counts (one rng draw, no float weight construction); other
-// temperatures build softmax-over-log-count cumulative weights in scratch
-// and binary-search those. Exactly one rng.Float64 is consumed per draw
-// for every temperature > 0.
-func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64) int {
+// temperatures binary-search the softmax weights in d.w. Exactly one
+// rng.Float64 is consumed per draw for every temperature > 0.
+func (d sortedDist) pick(temperature float64, rng *rand.Rand) int {
 	n := len(d.toks)
 	if temperature <= 0 {
 		best, bestCount := 0, int64(-1)
@@ -183,23 +211,8 @@ func (d sortedDist) pick(temperature float64, rng *rand.Rand, scratch *[]float64
 		}
 		return int(d.toks[i])
 	}
-	w := (*scratch)[:0]
-	maxLog := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		l := math.Log(float64(d.count(i))) / temperature
-		if l > maxLog {
-			maxLog = l
-		}
-		w = append(w, l)
-	}
-	total := 0.0
-	for i := range w {
-		total += math.Exp(w[i] - maxLog)
-		w[i] = total
-	}
-	*scratch = w
-	r := rng.Float64() * total
-	i := sort.Search(n, func(i int) bool { return w[i] > r })
+	r := rng.Float64() * d.w[n-1]
+	i := sort.Search(n, func(i int) bool { return d.w[i] > r })
 	if i >= n {
 		i = n - 1
 	}
@@ -223,13 +236,6 @@ func sortedFromMap(d *dist) sortedDist {
 	return sortedDist{toks: toks, cum: cum}
 }
 
-// scratchPool holds the per-goroutine float scratch the temperature!=1
-// path accumulates weights into.
-var scratchPool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 64)
-	return &s
-}}
-
 // ---- frozen sampler ---------------------------------------------------------
 
 // frozenModel is the packed immutable sampler: one open-addressed context
@@ -238,8 +244,20 @@ var scratchPool = sync.Pool{New: func() any {
 // suffix to a uint64 (full token width; no truncation) and verify the
 // stored context ids, so hash collisions cost a probe, never a wrong
 // distribution.
+//
+// The softmax weights a draw at temperature t searches depend only on
+// the distribution and t, and a sweep samples at a handful of
+// temperatures, so they are built once per temperature (weightsAt) and
+// shared by every goroutine sampling from the model.
 type frozenModel struct {
 	levels []frozenLevel
+
+	mu sync.RWMutex
+	// weights maps math.Float64bits(t) to one softmaxCum slice per level,
+	// laid out like that level's toks/cum. Keying by bits makes every NaN
+	// or infinite t one stable key (a float key would add an unreachable
+	// entry per NaN draw).
+	weights map[uint64][][]float64
 }
 
 type frozenLevel struct {
@@ -272,7 +290,7 @@ func hashTokens(ctx []int) uint64 {
 // reading it); sampling switches to the packed tables until the next
 // Train. Token ids are carried full-width; no id range is corrupted.
 func (m *Model) Freeze() {
-	fz := &frozenModel{levels: make([]frozenLevel, m.order)}
+	fz := &frozenModel{levels: make([]frozenLevel, m.order), weights: map[uint64][][]float64{}}
 	for n := 0; n < m.order; n++ {
 		lvl := &fz.levels[n]
 		lvl.n = n
@@ -331,7 +349,42 @@ func (lvl *frozenLevel) find(ctx []int) int {
 	}
 }
 
-func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
+// dist returns entry e's distribution.
+func (lvl *frozenLevel) dist(e int) sortedDist {
+	lo, hi := lvl.distOff[e], lvl.distOff[e+1]
+	return sortedDist{toks: lvl.toks[lo:hi], cum: lvl.cum[lo:hi]}
+}
+
+// weightsAt returns the per-level softmax weights at temperature,
+// building them under the write lock the first time any goroutine asks.
+func (fz *frozenModel) weightsAt(temperature float64) [][]float64 {
+	key := math.Float64bits(temperature)
+	fz.mu.RLock()
+	w, ok := fz.weights[key]
+	fz.mu.RUnlock()
+	if ok {
+		return w
+	}
+	fz.mu.Lock()
+	defer fz.mu.Unlock()
+	if w, ok := fz.weights[key]; ok {
+		return w
+	}
+	w = make([][]float64, len(fz.levels))
+	for n := range fz.levels {
+		lvl := &fz.levels[n]
+		w[n] = make([]float64, len(lvl.toks))
+		for e := 0; e+1 < len(lvl.distOff); e++ {
+			softmaxCum(w[n][lvl.distOff[e]:lvl.distOff[e+1]], lvl.dist(e), temperature)
+		}
+	}
+	fz.weights[key] = w
+	return w
+}
+
+// sample draws from the longest matching context; w is weightsAt(t) when
+// usesWeights(t), else nil.
+func (fz *frozenModel) sample(history []int, temperature float64, w [][]float64, rng *rand.Rand) (int, bool) {
 	for n := len(fz.levels) - 1; n >= 0; n-- {
 		if len(history) < n {
 			continue
@@ -341,11 +394,11 @@ func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand
 		if e < 0 {
 			continue
 		}
-		d := sortedDist{
-			toks: lvl.toks[lvl.distOff[e]:lvl.distOff[e+1]],
-			cum:  lvl.cum[lvl.distOff[e]:lvl.distOff[e+1]],
+		d := lvl.dist(e)
+		if w != nil {
+			d.w = w[n][lvl.distOff[e]:lvl.distOff[e+1]]
 		}
-		return d.pick(temperature, rng, scratch), true
+		return d.pick(temperature, rng), true
 	}
 	return 0, false
 }
@@ -356,38 +409,48 @@ func (fz *frozenModel) sample(history []int, temperature float64, rng *rand.Rand
 // Temperature 0 is greedy; higher temperatures flatten the distribution.
 // The boolean is false when the model has no distribution at all (untrained).
 func (m *Model) Sample(history []int, temperature float64, rng *rand.Rand) (int, bool) {
-	scratch := scratchPool.Get().(*[]float64)
-	tok, ok := m.sample(history, temperature, rng, scratch)
-	scratchPool.Put(scratch)
-	return tok, ok
+	return m.sample(history, temperature, m.weights(temperature), rng)
 }
 
-func (m *Model) sample(history []int, temperature float64, rng *rand.Rand, scratch *[]float64) (int, bool) {
+// weights returns the frozen sampler's weights for draws at temperature,
+// or nil when those draws need none or the model samples from the maps.
+func (m *Model) weights(temperature float64) [][]float64 {
+	if m.frozen == nil || !usesWeights(temperature) {
+		return nil
+	}
+	return m.frozen.weightsAt(temperature)
+}
+
+func (m *Model) sample(history []int, temperature float64, w [][]float64, rng *rand.Rand) (int, bool) {
 	if m.frozen != nil {
-		return m.frozen.sample(history, temperature, rng, scratch)
+		return m.frozen.sample(history, temperature, w, rng)
 	}
 	d := m.contextDist(history)
 	if d == nil {
 		return 0, false
 	}
-	return sortedFromMap(d).pick(temperature, rng, scratch), true
+	sd := sortedFromMap(d)
+	if usesWeights(temperature) {
+		sd.w = make([]float64, len(sd.toks))
+		softmaxCum(sd.w, sd, temperature)
+	}
+	return sd.pick(temperature, rng), true
 }
 
 // Generate produces up to maxTokens tokens continuing the prompt.
 func (m *Model) Generate(prompt []int, maxTokens int, temperature float64, rng *rand.Rand) []int {
-	scratch := scratchPool.Get().(*[]float64)
+	w := m.weights(temperature)
 	history := make([]int, len(prompt), len(prompt)+maxTokens)
 	copy(history, prompt)
 	out := make([]int, 0, maxTokens)
 	for len(out) < maxTokens {
-		tok, ok := m.sample(history, temperature, rng, scratch)
+		tok, ok := m.sample(history, temperature, w, rng)
 		if !ok {
 			break
 		}
 		out = append(out, tok)
 		history = append(history, tok)
 	}
-	scratchPool.Put(scratch)
 	return out
 }
 

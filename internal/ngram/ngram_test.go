@@ -3,6 +3,8 @@ package ngram
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -131,9 +133,11 @@ func TestOrderClampedToOne(t *testing.T) {
 
 // TestFrozenMatchesMapSampler is the equivalence contract of the packed
 // sampler: for every temperature regime (greedy, the t=1 integer
-// cumulative-count search, and the general softmax path) a frozen model
-// must generate the exact token stream the map-backed baseline does on
-// the same RNG stream.
+// cumulative-count search, and the general softmax path, whose weights
+// the frozen model caches per temperature) a frozen model must generate
+// the exact token stream the map-backed baseline does on the same RNG
+// stream. The temperatures include ones no sweep uses, so each builds a
+// fresh weight table.
 func TestFrozenMatchesMapSampler(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]int, 4000)
@@ -149,7 +153,7 @@ func TestFrozenMatchesMapSampler(t *testing.T) {
 		if !frozenM.Frozen() || mapM.Frozen() {
 			t.Fatal("freeze state wrong")
 		}
-		for _, temp := range []float64{0, 0.1, 0.5, 1.0, 1.3, 2.0} {
+		for _, temp := range []float64{0, 0.05, 0.1, 0.5, 0.9, 1.0, 1.3, 1.5, 2.0, 3.0} {
 			for seed := int64(0); seed < 20; seed++ {
 				prompt := data[int(seed)*7 : int(seed)*7+3]
 				g1 := mapM.Generate(prompt, 80, temp, rand.New(rand.NewSource(seed)))
@@ -165,6 +169,72 @@ func TestFrozenMatchesMapSampler(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// trainedFrozen returns a frozen order-3 model over a random stream.
+func trainedFrozen(seed int64) (*Model, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]int, 3000)
+	for i := range data {
+		data[i] = rng.Intn(60)
+	}
+	m := New(3)
+	m.Train(data)
+	m.Freeze()
+	return m, data
+}
+
+// TestConcurrentFirstDrawsAgree has many goroutines draw at once at a
+// temperature no one has drawn at yet, so they race to build its weight
+// table. Every stream must equal the one a single goroutine draws, and
+// the cache must end up holding that one table.
+func TestConcurrentFirstDrawsAgree(t *testing.T) {
+	m, data := trainedFrozen(5)
+	ref, _ := trainedFrozen(5)
+	const temp = 0.77
+	want := ref.Generate(data[:2], 200, temp, rand.New(rand.NewSource(9)))
+	const workers = 16
+	got := make([][]int, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = m.Generate(data[:2], 200, temp, rand.New(rand.NewSource(9)))
+		}(g)
+	}
+	wg.Wait()
+	for g, stream := range got {
+		if !slices.Equal(stream, want) {
+			t.Fatalf("goroutine %d drew a different stream", g)
+		}
+	}
+	if n := len(m.frozen.weights); n != 1 {
+		t.Fatalf("%d weight tables built, want 1", n)
+	}
+}
+
+// TestWeightCacheBoundedForNaNAndInf pins the cache key: a float64 map
+// key would add an entry per NaN draw (NaN != NaN), so repeated NaN and
+// +Inf draws must each leave exactly one entry, while greedy and t=1
+// draws build none. Both still match the map sampler.
+func TestWeightCacheBoundedForNaNAndInf(t *testing.T) {
+	m, data := trainedFrozen(6)
+	mapM := New(3)
+	mapM.Train(data)
+	for _, temp := range []float64{0, 1, math.NaN(), math.Inf(1)} {
+		for seed := int64(0); seed < 25; seed++ {
+			g1 := m.Generate(data[seed:seed+2], 30, temp, rand.New(rand.NewSource(seed)))
+			g2 := mapM.Generate(data[seed:seed+2], 30, temp, rand.New(rand.NewSource(seed)))
+			if !slices.Equal(g1, g2) {
+				t.Fatalf("t=%v seed %d: frozen %v, map %v", temp, seed, g1, g2)
+			}
+			m.Sample(data[:2], temp, rand.New(rand.NewSource(seed)))
+		}
+	}
+	if n := len(m.frozen.weights); n != 2 {
+		t.Fatalf("weight cache holds %d entries after NaN/+Inf draws, want 2", n)
 	}
 }
 

@@ -71,12 +71,17 @@ func (e *elaborator) constEval(x vlog.Expr, inst *Inst) (vnum.Value, error) {
 		return e.constEval(n.Else, inst)
 	case *vlog.Concat:
 		parts := make([]vnum.Value, 0, len(n.Parts))
+		total := 0
 		for _, p := range n.Parts {
 			v, err := e.constEval(p, inst)
 			if err != nil {
 				return vnum.Value{}, err
 			}
 			parts = append(parts, v)
+			total = satAdd(total, v.Width())
+		}
+		if total > maxWidth {
+			return vnum.Value{}, errf(n.Pos, "concatenation too wide (more than %d bits)", maxWidth)
 		}
 		return vnum.Concat(parts...), nil
 	case *vlog.Repl:
@@ -91,6 +96,9 @@ func (e *elaborator) constEval(x vlog.Expr, inst *Inst) (vnum.Value, error) {
 		cnt, ok := c.Uint64()
 		if !ok || cnt > 1<<12 {
 			return vnum.Value{}, errf(n.Pos, "bad replication count")
+		}
+		if int(cnt)*v.Width() > maxWidth {
+			return vnum.Value{}, errf(n.Pos, "replication too wide (more than %d bits)", maxWidth)
 		}
 		return vnum.Replicate(int(cnt), v), nil
 	default:
@@ -216,12 +224,19 @@ func (e *elaborator) checkExpr(x vlog.Expr, inst *Inst) error {
 				return err
 			}
 		}
-		return nil
+		return checkWidth(n, inst, "concatenation")
 	case *vlog.Repl:
 		if _, err := e.constEval(n.Count, inst); err != nil {
 			return err
 		}
-		return e.checkExpr(n.X, inst)
+		if err := e.checkExpr(n.X, inst); err != nil {
+			return err
+		}
+		// the count alone bounds the work even when x is zero bits wide
+		if replCount(n, inst) > maxWidth {
+			return errf(n.Pos, "replication count exceeds %d", maxWidth)
+		}
+		return checkWidth(n, inst, "replication")
 	case *vlog.Index:
 		if id, ok := n.X.(*vlog.Ident); ok {
 			if _, isMem := inst.Mems[id.Name]; isMem {
@@ -243,7 +258,7 @@ func (e *elaborator) checkExpr(x vlog.Expr, inst *Inst) error {
 		if _, err := e.constEval(n.LSB, inst); err != nil {
 			return err
 		}
-		return nil
+		return checkWidth(n, inst, "part select")
 	case *vlog.SysCallExpr:
 		if !knownSysFuncs[n.Name] {
 			return errf(n.Pos, "unknown system function %q", n.Name)
@@ -310,17 +325,27 @@ func (e *elaborator) checkLValue(x vlog.Expr, inst *Inst, wantReg bool) error {
 		if _, err := e.constEval(n.LSB, inst); err != nil {
 			return err
 		}
-		return nil
+		return checkWidth(n, inst, "part select")
 	case *vlog.Concat:
 		for _, p := range n.Parts {
 			if err := e.checkLValue(p, inst, wantReg); err != nil {
 				return err
 			}
 		}
-		return nil
+		return checkWidth(n, inst, "concatenation")
 	default:
 		return errf(x.(vlog.Node).NodePos(), "invalid assignment target")
 	}
+}
+
+// checkWidth rejects an expression whose self-determined width exceeds
+// maxWidth: the simulator would allocate a value that wide for it, or
+// size the other side of its assignment to match.
+func checkWidth(x vlog.Expr, inst *Inst, what string) error {
+	if SelfWidth(x, inst) > maxWidth {
+		return errf(x.(vlog.Node).NodePos(), "%s too wide (more than %d bits)", what, maxWidth)
+	}
+	return nil
 }
 
 func (e *elaborator) checkContAssign(a *vlog.Assign, inst *Inst) error {

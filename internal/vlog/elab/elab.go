@@ -424,13 +424,9 @@ func (e *elaborator) rangeOf(r *vlog.RangeSpec, inst *Inst) (width, msb, lsb int
 		return 0, 0, 0, errf(r.Pos, "range bounds must be constant")
 	}
 	msb, lsb = int(mi), int(li)
-	width = msb - lsb
-	if width < 0 {
-		width = -width
-	}
-	width++
-	if width > 1<<16 {
-		return 0, 0, 0, errf(r.Pos, "vector too wide (%d bits)", width)
+	width = spanWidth(msb, lsb)
+	if width > maxWidth {
+		return 0, 0, 0, errf(r.Pos, "vector too wide (more than %d bits)", maxWidth)
 	}
 	return width, msb, lsb, nil
 }

@@ -77,8 +77,38 @@ type Plan struct {
 	CmpSg bool // PlanCompare operand signedness
 }
 
+// maxWidth is the widest vector elaboration accepts: a declaration, and
+// the self-determined width of a part select, concatenation or
+// replication. It bounds what one candidate can make the simulator
+// allocate: `{1000000000{a}}` is an elaboration error rather than an
+// out-of-memory abort of the whole process.
+const maxWidth = 1 << 16
+
+// tooWide is where widths saturate: any width above maxWidth.
+const tooWide = maxWidth + 1
+
+// satAdd and satMul combine non-negative widths, saturating at tooWide.
+// Clamping the operands first keeps the int arithmetic exact however
+// deeply replications nest.
+func satAdd(a, b int) int { return min(min(a, tooWide)+min(b, tooWide), tooWide) }
+func satMul(a, b int) int { return min(min(a, tooWide)*min(b, tooWide), tooWide) }
+
+// spanWidth is the width of the bit range [msb:lsb] in either order,
+// saturated at tooWide.
+func spanWidth(msb, lsb int) int {
+	if msb < lsb {
+		msb, lsb = lsb, msb
+	}
+	if d := uint64(msb) - uint64(lsb); d < maxWidth {
+		return int(d) + 1
+	}
+	return tooWide
+}
+
 // SelfWidth computes the static self-determined width of an expression in
-// an elaborated instance (IEEE 1364 Table 5-22).
+// an elaborated instance (IEEE 1364 Table 5-22). Part-select,
+// concatenation and replication widths saturate at maxWidth+1; an
+// elaborated design has none that wide.
 func SelfWidth(e vlog.Expr, in *Inst) int {
 	switch n := e.(type) {
 	case *vlog.Number:
@@ -109,11 +139,7 @@ func SelfWidth(e vlog.Expr, in *Inst) int {
 		if !ok {
 			return 1
 		}
-		w := msb - lsb
-		if w < 0 {
-			w = -w
-		}
-		return w + 1
+		return spanWidth(msb, lsb)
 	case *vlog.Unary:
 		switch n.Op {
 		case "+", "-", "~":
@@ -143,14 +169,14 @@ func SelfWidth(e vlog.Expr, in *Inst) int {
 	case *vlog.Concat:
 		total := 0
 		for _, p := range n.Parts {
-			total += SelfWidth(p, in)
+			total = satAdd(total, SelfWidth(p, in))
 		}
 		if total == 0 {
 			total = 1
 		}
 		return total
 	case *vlog.Repl:
-		return replCount(n, in) * SelfWidth(n.X, in)
+		return satMul(replCount(n, in), SelfWidth(n.X, in))
 	case *vlog.SysCallExpr:
 		switch n.Name {
 		case "$time", "$stime":
@@ -230,11 +256,12 @@ func PartSelBounds(n *vlog.RangeSel, in *Inst) (msb, lsb int, ok bool) {
 }
 
 // replCount resolves a replication count the way the interpreter does for
-// self-width purposes: unresolvable counts default to 1.
+// self-width purposes: unresolvable counts default to 1, and counts above
+// maxWidth saturate at tooWide.
 func replCount(n *vlog.Repl, in *Inst) int {
 	if v, err := ConstEval(n.Count, in); err == nil {
 		if u, ok := v.Uint64(); ok {
-			return int(u)
+			return int(min(u, tooWide))
 		}
 	}
 	return 1
